@@ -286,10 +286,9 @@ AdaptiveExecutor::CheckOutcome AdaptiveExecutor::check_now(mp::Process& p,
 
   // --- frame-strategy re-decision, from this interval's measurements ------
   bool want_replan = false;
-  mp::CommStats::FrameWindow window;  // also feeds the frame-aware tpi below
   if (coalescing_) {
     const double retune_start = p.now();
-    window = p.stats().take_frame_window();
+    const auto window = p.stats().take_frame_window();
     if (opts_.measured_feedback) {
       update_measured(p, window);
       want_replan = slowdown_drifted(p);
@@ -333,15 +332,8 @@ AdaptiveExecutor::CheckOutcome AdaptiveExecutor::check_now(mp::Process& p,
 
   // --- the paper's load-balance protocol ----------------------------------
   const double check_start = p.now();
-  double tpi =
+  const double tpi =
       predictor_.observations() > 0 ? predictor_.predict() : monitor_.time_per_item();
-  if (coalescing_ && opts_.frame_aware_tpi) {
-    // Fold the interval's measured frame cost into the tpi the controller
-    // sees: MCR then hands this rank proportionally fewer vertices while it
-    // hosts the frame role — and stops doing so one check after a rotation
-    // moves the role elsewhere.
-    tpi = frame_aware_time_per_item(tpi, window, p.net(), monitor_.items_processed());
-  }
   outcome.decision = load_balance_check(p, part_, tpi, opts_.lb);
   outcome.check_seconds = p.now() - check_start;
   monitor_.reset();

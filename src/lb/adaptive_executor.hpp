@@ -69,18 +69,6 @@ struct AdaptiveOptions {
   /// (relative). Requires `coalesce`.
   bool measured_feedback = false;
   double feedback_replan_threshold = 0.25;
-  /// Fold each interval's measured frame cost into the time-per-item fed to
-  /// the load-balance controller (lb::frame_aware_time_per_item): delegates
-  /// then receive proportionally lighter intervals, and a rotation that
-  /// moves the role also moves whose tpi carries the cost at the next
-  /// check — rotation and lighter intervals trade off automatically. Off by
-  /// default: with rotation enabled the two remedies treat the same cost, so
-  /// the inflated tpi can trigger a remap in the very check that rotates the
-  /// role away, paying redistribution for a load that just moved. Enable it
-  /// when delegates should keep lighter intervals (rotation disabled, or
-  /// pinned-delegate topologies). Only meaningful while coalescing; a no-op
-  /// when the interval shipped no frames.
-  bool frame_aware_tpi = false;
 };
 
 /// Per-rank accounting of one run() (virtual seconds).

@@ -22,19 +22,6 @@ double frame_seconds(const mp::CommStats::FrameWindow& window,
   return frame_seconds(window.frames_sent, window.frame_bytes_sent, net);
 }
 
-double frame_aware_time_per_item(double time_per_item, const mp::CommStats& stats,
-                                 const sim::NetworkModel& net, std::int64_t items) {
-  if (items <= 0 || stats.frames_sent == 0) return time_per_item;
-  return time_per_item + frame_seconds(stats, net) / static_cast<double>(items);
-}
-
-double frame_aware_time_per_item(double time_per_item,
-                                 const mp::CommStats::FrameWindow& window,
-                                 const sim::NetworkModel& net, std::int64_t items) {
-  if (items <= 0 || window.frames_sent == 0) return time_per_item;
-  return time_per_item + frame_seconds(window, net) / static_cast<double>(items);
-}
-
 std::vector<mp::Rank> choose_delegates(const mp::NodeMap& nodes,
                                        std::span<const double> rank_load) {
   STANCE_REQUIRE(rank_load.size() == static_cast<std::size_t>(nodes.nprocs()),

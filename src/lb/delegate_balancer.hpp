@@ -8,18 +8,12 @@
 // co-residents, and frame_seconds() prices it with the NetworkModel the
 // same way the virtual clock charged it.
 //
-// Two remedies, composable:
-//
-//  * Rotate the role (choose_delegates / rotate_delegates): per node, hand
-//    the frame endpoint to the rank whose measured load is lowest — on a
-//    heterogeneous or partially loaded node the funneling then runs on the
-//    fastest co-resident CPU. The decision is collective and its message
-//    cost is charged in virtual time, like every other balancing decision.
-//
-//  * Leave delegates lighter intervals (frame_aware_time_per_item): fold the
-//    frame cost into the per-item load the controller (lb/controller.hpp)
-//    feeds MCR, so the partitioner hands the delegate proportionally fewer
-//    vertices and the funneling overlaps its co-residents' compute.
+// The remedy is to rotate the role (choose_delegates / rotate_delegates):
+// per node, hand the frame endpoint to the rank whose measured load is
+// lowest — on a heterogeneous or partially loaded node the funneling then
+// runs on the fastest co-resident CPU. The decision is collective and its
+// message cost is charged in virtual time, like every other balancing
+// decision.
 #pragma once
 
 #include <cstdint>
@@ -51,25 +45,6 @@ namespace stance::lb {
 /// form the adaptive executor's per-check rotation decision uses.
 [[nodiscard]] double frame_seconds(const mp::CommStats::FrameWindow& window,
                                    const sim::NetworkModel& net);
-
-/// Fold a rank's frame funneling cost into its measured time-per-item so
-/// lb::decide hands delegates proportionally fewer vertices ("lighter
-/// intervals"). `items` is the measurement window's item count (see
-/// LoadMonitor); ranks that shipped no frames are returned unchanged.
-[[nodiscard]] double frame_aware_time_per_item(double time_per_item,
-                                               const mp::CommStats& stats,
-                                               const sim::NetworkModel& net,
-                                               std::int64_t items);
-
-/// Single-interval form (mp::CommStats::take_frame_window): the adaptive
-/// executor folds each check's measured frame cost into the tpi it feeds the
-/// controller, so "lighter intervals" and rotation trade off automatically —
-/// a rotation that moves the role also moves whose tpi carries the frame
-/// cost at the very next check.
-[[nodiscard]] double frame_aware_time_per_item(double time_per_item,
-                                               const mp::CommStats::FrameWindow& window,
-                                               const sim::NetworkModel& net,
-                                               std::int64_t items);
 
 /// Pure decision (unit-testable without a cluster): per node, pick the rank
 /// with the lowest `rank_load` (virtual seconds of measured load, e.g.

@@ -68,7 +68,17 @@ struct SpectralOptions {
 /// (see lanczos.hpp), median split, recurse. This is the method the paper
 /// uses for its experimental mesh ("Recursive Spectral Bisection-based
 /// indexing").
+/// Sibling subtrees are bisected concurrently on all hardware threads
+/// (graphs of a few thousand vertices stay on the caller); the permutation
+/// is bit-identical for every thread count.
 [[nodiscard]] std::vector<Vertex> spectral_order(const Csr& g, SpectralOptions opts = {});
+
+namespace detail {
+/// spectral_order on exactly `threads` threads, whatever the graph's size —
+/// the seam the thread-count invariance tests drive.
+[[nodiscard]] std::vector<Vertex> spectral_order(const Csr& g, const SpectralOptions& opts,
+                                                 unsigned threads);
+}  // namespace detail
 
 /// Reverse Cuthill–McKee from a pseudo-peripheral start vertex.
 [[nodiscard]] std::vector<Vertex> cuthill_mckee_order(const Csr& g);

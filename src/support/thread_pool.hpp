@@ -13,11 +13,17 @@
 // blocking call), and synchronization is a mutex/condvar generation scheme
 // whose state lives in fixed members. Constructing the pool (spawning
 // workers) is the only allocating operation.
+//
+// A kernel may throw. Every chunk's exception is caught where it ran, the
+// call still waits for all chunks (the kernel's context lives in the
+// caller's frame), and then rethrows the exception of the lowest-index chunk
+// that threw; the others are dropped. The pool stays usable afterwards.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -35,7 +41,7 @@ class ThreadPool {
   /// saves, so the kernel runs inline (results are identical either way;
   /// tests lower it to force the threaded path on small inputs).
   explicit ThreadPool(unsigned threads = 1, std::size_t serial_cutoff = kDefaultCutoff)
-      : nthreads_(threads == 0 ? 1 : threads), cutoff_(serial_cutoff) {
+      : nthreads_(threads == 0 ? 1 : threads), cutoff_(serial_cutoff), errors_(nthreads_) {
     workers_.reserve(nthreads_ - 1);
     for (unsigned i = 1; i < nthreads_; ++i) {
       workers_.emplace_back([this, i] { worker_loop(i); });
@@ -61,7 +67,9 @@ class ThreadPool {
 
   /// Run f(begin, end) over disjoint chunks covering [0, n); returns when
   /// all chunks finished. f is invoked concurrently from pool threads and
-  /// the caller; everything it wrote happens-before the return.
+  /// the caller; everything it wrote happens-before the return. If chunks
+  /// threw, the lowest-index chunk's exception is rethrown after all
+  /// chunks finished.
   template <typename F>
   void parallel_for(std::size_t n, F&& f) {
     using Fn = std::remove_reference_t<F>;
@@ -93,9 +101,30 @@ class ThreadPool {
       ++epoch_;
     }
     start_cv_.notify_all();
-    kernel(ctx, chunk_bound(n, nthreads_, 0), chunk_bound(n, nthreads_, 1));
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
+    run_chunk(0, kernel, ctx, n);
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      done_cv_.wait(lock, [this] { return pending_ == 0; });
+    }
+    // Every worker published its slot before decrementing pending_, so the
+    // slots are stable here; clear them all so the next call starts clean.
+    std::exception_ptr first;
+    for (auto& e : errors_) {
+      if (!e) continue;
+      if (!first) first = e;
+      e = nullptr;
+    }
+    if (first) std::rethrow_exception(first);
+  }
+
+  /// Chunk `index` of the current call; an escaping exception is parked in
+  /// errors_[index] for run() to rethrow once every chunk finished.
+  void run_chunk(unsigned index, Kernel kernel, void* ctx, std::size_t n) noexcept {
+    try {
+      kernel(ctx, chunk_bound(n, nthreads_, index), chunk_bound(n, nthreads_, index + 1));
+    } catch (...) {
+      errors_[index] = std::current_exception();
+    }
   }
 
   void worker_loop(unsigned index) {
@@ -113,7 +142,7 @@ class ThreadPool {
         ctx = ctx_;
         n = n_;
       }
-      kernel(ctx, chunk_bound(n, nthreads_, index), chunk_bound(n, nthreads_, index + 1));
+      run_chunk(index, kernel, ctx, n);
       {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (--pending_ == 0) done_cv_.notify_one();
@@ -123,6 +152,7 @@ class ThreadPool {
 
   const unsigned nthreads_;
   const std::size_t cutoff_;
+  std::vector<std::exception_ptr> errors_;  ///< one slot per chunk (= thread)
   std::vector<std::thread> workers_;
 
   std::mutex mutex_;

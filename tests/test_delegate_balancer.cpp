@@ -2,14 +2,12 @@
 // delegate role on mp::NodeMap): the measured frame cost, the pure and
 // collective delegate choices, and the end-to-end payoff — moving the frame
 // endpoint off a loaded rank lowers the virtual makespan without changing a
-// byte, and folding frame cost into the per-item load hands delegates
-// lighter intervals.
+// byte.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "exec/gather_scatter.hpp"
-#include "lb/controller.hpp"
 #include "lb/delegate_balancer.hpp"
 #include "mp/cluster.hpp"
 #include "sched/coalesce.hpp"
@@ -20,7 +18,6 @@ namespace stance {
 namespace {
 
 using mp::NodeMap;
-using partition::IntervalPartition;
 
 TEST(NodeMapDelegates, DefaultIsLowestRankAndReassignable) {
   NodeMap nm = NodeMap::contiguous(6, 3);
@@ -45,20 +42,6 @@ TEST(DelegateBalancer, FrameSecondsPricesSetupAndSerializedBytes) {
   const double expected =
       4.0 * net.send_overhead + net.contention * 10000.0 * net.send_per_byte;
   EXPECT_DOUBLE_EQ(lb::frame_seconds(stats, net), expected);
-}
-
-TEST(DelegateBalancer, FrameAwareTimePerItemInflatesOnlyDelegates) {
-  const auto net = sim::NetworkModel::ethernet_10mbps();
-  mp::CommStats idle;
-  EXPECT_DOUBLE_EQ(lb::frame_aware_time_per_item(2e-4, idle, net, 1000), 2e-4);
-  mp::CommStats busy;
-  busy.frames_sent = 10;
-  busy.frame_bytes_sent = 80000;
-  const double inflated = lb::frame_aware_time_per_item(2e-4, busy, net, 1000);
-  EXPECT_DOUBLE_EQ(inflated, 2e-4 + lb::frame_seconds(busy, net) / 1000.0);
-  EXPECT_GT(inflated, 2e-4);
-  // No items in the window: nothing to normalize by, unchanged.
-  EXPECT_DOUBLE_EQ(lb::frame_aware_time_per_item(2e-4, busy, net, 0), 2e-4);
 }
 
 TEST(DelegateBalancer, FrameWindowPricesIntervalsIndependently) {
@@ -258,31 +241,6 @@ TEST(DelegateBalancer, RotationOffSlowRankLowersMakespanByteIdentically) {
     test::expect_vectors_eq(after.second[static_cast<std::size_t>(r)],
                             before.second[static_cast<std::size_t>(r)]);
   }
-}
-
-TEST(DelegateBalancer, FrameAwareLoadLeavesDelegatesLighterIntervals) {
-  // The "lighter intervals" remedy: folding the delegate's frame cost into
-  // its time-per-item makes lb::decide hand it a smaller interval, so the
-  // funneling overlaps its co-residents' compute.
-  const auto net = sim::NetworkModel::ethernet_10mbps();
-  const auto part =
-      IntervalPartition::from_weights(4000, std::vector<double>(4, 1.0));
-  mp::CommStats delegate_stats;
-  delegate_stats.frames_sent = 40;
-  delegate_stats.frame_bytes_sent = 400000;
-
-  std::vector<double> tpi(4, 1e-4);
-  tpi[0] = lb::frame_aware_time_per_item(tpi[0], delegate_stats, net,
-                                         part.size(0));
-  ASSERT_GT(tpi[0], 1e-4);
-
-  lb::LbOptions opts;
-  opts.use_mcr = false;  // keep the arrangement: sizes isolate the effect
-  opts.profitability_factor = 0.0;
-  const auto d = lb::decide(part, tpi, opts);
-  ASSERT_TRUE(d.remap);
-  EXPECT_LT(d.new_partition.size(0), part.size(0));
-  EXPECT_LT(d.new_partition.size(0), d.new_partition.size(1));
 }
 
 }  // namespace

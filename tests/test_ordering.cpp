@@ -1,12 +1,18 @@
 // Tests for the Phase-A orderings: every method must produce a permutation,
 // be deterministic, and the locality-aware methods must beat the random
 // baseline on contiguous-partition edge cut (the paper's §3.1 property).
+// Spectral ordering is additionally pinned bit for bit: its permutation must
+// not depend on how many threads bisect the subtrees.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "graph/builders.hpp"
 #include "graph/metrics.hpp"
+#include "mp/transport.hpp"
 #include "order/ordering.hpp"
 #include "order/quality.hpp"
+#include "support/fnv.hpp"
 
 namespace stance::order {
 namespace {
@@ -169,9 +175,8 @@ TEST(CuthillMckee, HandlesDisconnectedGraphs) {
   EXPECT_TRUE(is_permutation(perm));
 }
 
-TEST(SpectralOrder, SplitsDumbbellAtTheBridge) {
-  // Two dense cliques joined by one edge: the Fiedler split must separate
-  // the cliques, so a 2-way contiguous cut of the ordering cuts ~1 edge.
+/// Two 8-cliques joined by the single edge 7-8.
+Csr dumbbell() {
   std::vector<graph::Edge> edges;
   for (Vertex i = 0; i < 8; ++i) {
     for (Vertex j = static_cast<Vertex>(i + 1); j < 8; ++j) {
@@ -180,7 +185,34 @@ TEST(SpectralOrder, SplitsDumbbellAtTheBridge) {
     }
   }
   edges.push_back({7, 8});  // bridge
-  const Csr g = Csr::from_edges(16, edges);
+  return Csr::from_edges(16, edges);
+}
+
+/// Disjoint union of two triangulated grids (81 + 77 vertices): the
+/// Laplacian's zero eigenvalue is double, so the Fiedler vector is the
+/// component indicator.
+Csr two_components() {
+  const Csr a = graph::grid_2d_tri(9, 9);
+  const Csr b = graph::grid_2d_tri(7, 11);
+  std::vector<graph::Edge> edges;
+  for (Vertex u = 0; u < a.num_vertices(); ++u) {
+    for (const Vertex v : a.neighbors(u)) {
+      if (u < v) edges.push_back({u, v});
+    }
+  }
+  const Vertex off = a.num_vertices();
+  for (Vertex u = 0; u < b.num_vertices(); ++u) {
+    for (const Vertex v : b.neighbors(u)) {
+      if (u < v) edges.push_back({static_cast<Vertex>(u + off), static_cast<Vertex>(v + off)});
+    }
+  }
+  return Csr::from_edges(static_cast<Vertex>(off + b.num_vertices()), edges);
+}
+
+TEST(SpectralOrder, SplitsDumbbellAtTheBridge) {
+  // Two dense cliques joined by one edge: the Fiedler split must separate
+  // the cliques, so a 2-way contiguous cut of the ordering cuts ~1 edge.
+  const Csr g = dumbbell();
   const auto perm = spectral_order(g);
   EXPECT_TRUE(is_permutation(perm));
   EXPECT_LE(cut_at(g, perm, 2), 2);
@@ -193,6 +225,103 @@ TEST(SpectralOrder, OptionsValidated) {
   bad = SpectralOptions{};
   bad.lanczos_steps = 0;
   EXPECT_THROW(spectral_order(test_mesh(), bad), std::invalid_argument);
+}
+
+// --- spectral bit-identity oracles ------------------------------------------
+// FNV-1a fingerprints of spectral_order's permutation, recorded from the
+// serial implementation that preceded subtree-parallel bisection. Any
+// change to the Lanczos arithmetic, the seed assignment or the median split
+// moves them.
+//
+// The values hold for builds that keep a*b+c as two roundings (the default
+// x86-64 target). Where the compiler may contract it into an FMA
+// (-march=native on FMA hardware, aarch64) the Fiedler vectors' last bits
+// differ, so only the thread-count invariance is checked there.
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+constexpr bool kPinsApply = false;
+#else
+constexpr bool kPinsApply = true;
+#endif
+
+std::uint64_t fingerprint(const std::vector<Vertex>& perm) {
+  support::Fnv1a h;
+  for (const Vertex v : perm) h.mix(static_cast<std::uint64_t>(v));
+  return h.digest();
+}
+
+struct PinnedCase {
+  const char* name;
+  Csr graph;
+  SpectralOptions opts;
+  std::uint64_t fingerprint;
+};
+
+SpectralOptions opts_with(Vertex leaf_size, int lanczos_steps = SpectralOptions{}.lanczos_steps,
+                          std::uint64_t seed = SpectralOptions{}.seed) {
+  SpectralOptions o;
+  o.leaf_size = leaf_size;
+  o.lanczos_steps = lanczos_steps;
+  o.seed = seed;
+  return o;
+}
+
+/// Small pinned inputs: all but the last fall below the public entry's
+/// serial cutoff, so the sweep below is what runs them threaded.
+const std::vector<PinnedCase>& pinned_cases() {
+  const Vertex leaf = SpectralOptions{}.leaf_size;
+  static const std::vector<PinnedCase> cases{
+      {"test_mesh", test_mesh(), {}, 0xa69f99c18afa5c0full},
+      {"dumbbell_leaf4", dumbbell(), opts_with(4), 0x4f01a3cfd85e15a3ull},
+      {"two_components", two_components(), {}, 0xbcd720380e2e474aull},
+      {"leaf_size_plus_one", graph::random_delaunay(leaf + 1, 3), {}, 0x5b70b0cf000b4eb1ull},
+      {"odd_n", graph::random_delaunay(1001, 11), {}, 0x5e315eb0b1de87cbull},
+      {"lanczos_steps_ge_n", graph::random_delaunay(120, 9), opts_with(leaf, 200),
+       0x2419f4b32cb1c263ull},
+      {"leaf2_deep_tree", graph::random_delaunay(257, 23), opts_with(2, 60, 5),
+       0x2ee53e5dcd56fa2full},
+      {"mesh_2500", graph::random_delaunay(2500, 17), {}, 0x7b57a7082db483a7ull},
+  };
+  return cases;
+}
+
+TEST(SpectralPins, PublicEntryMatchesRecordedFingerprints) {
+  if (!kPinsApply) GTEST_SKIP() << "FMA target: fingerprints are build-specific";
+  for (const auto& c : pinned_cases()) {
+    EXPECT_EQ(fingerprint(spectral_order(c.graph, c.opts)), c.fingerprint) << c.name;
+  }
+}
+
+TEST(SpectralPins, PaperMeshMatchesRecordedFingerprint) {
+  // The paper-scale mesh takes the threaded path on any multi-core host.
+  // compute() is the Phase A entry the runtime calls (default options).
+  if (!kPinsApply) GTEST_SKIP() << "FMA target: fingerprints are build-specific";
+  // Ordering never touches the transport: the shm/tcp reruns of this binary
+  // would only repeat the 30k-vertex solve (the costliest case under TSan).
+  if (mp::resolve_transport_kind(mp::TransportKind::kDefault) != mp::TransportKind::kVirtual) {
+    GTEST_SKIP() << "transport-independent; runs on the virtual backend only";
+  }
+  EXPECT_EQ(fingerprint(compute(graph::paper_mesh(), Method::kSpectral)), 0x38d2b935a976ea0dull);
+}
+
+TEST(SpectralPins, PermutationIndependentOfThreadCount) {
+  for (const auto& c : pinned_cases()) {
+    const auto serial = detail::spectral_order(c.graph, c.opts, 1);
+    if (kPinsApply) {
+      EXPECT_EQ(fingerprint(serial), c.fingerprint) << c.name;
+    }
+    for (const unsigned threads : {2u, 3u, 4u, 7u}) {
+      EXPECT_EQ(detail::spectral_order(c.graph, c.opts, threads), serial)
+          << c.name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(SpectralPins, DetailSeamValidatesLikeThePublicEntry) {
+  EXPECT_THROW((void)detail::spectral_order(test_mesh(), opts_with(1), 4), std::invalid_argument);
+  EXPECT_THROW((void)detail::spectral_order(test_mesh(), {}, 0), std::invalid_argument);
+  // Graphs no larger than a leaf, and the empty graph, on many threads.
+  EXPECT_EQ(detail::spectral_order(graph::random_delaunay(20, 1), {}, 4), identity_order(20));
+  EXPECT_TRUE(detail::spectral_order(Csr::from_edges(0, {}), {}, 3).empty());
 }
 
 TEST(ComputeDispatch, CoordlessGraphRejectsGeometricMethods) {

@@ -1,11 +1,16 @@
 // ThreadPool (support/thread_pool.hpp) and the threaded pack/unpack path:
-// chunk coverage, reuse, and the ISSUE 3 determinism contract — gather and
-// scatter produce byte-identical results for pool sizes 1, 2, and 8.
+// chunk coverage, reuse, exception propagation, and the determinism
+// contract — gather and scatter produce byte-identical results for pool
+// sizes 1, 2, and 8.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/gather_scatter.hpp"
@@ -69,6 +74,72 @@ TEST(ThreadPool, SerialCutoffRunsInline) {
     for (std::size_t i = b; i < e; ++i) v[i] = 1;
   });
   EXPECT_EQ(std::accumulate(v.begin(), v.end(), 0), 100);
+}
+
+// --- exception safety ---------------------------------------------------------
+// parallel_for(T, ...) on a T-thread pool with cutoff 1 hands chunk i (index
+// i) to thread i: chunk 0 is the caller's, the rest run on workers.
+
+/// Runs one call where `throwing` chunks throw their index; returns the
+/// index carried by the exception that escaped and checks that every chunk
+/// ran to completion before the call returned.
+int throw_from_chunks(ThreadPool& pool, const std::vector<bool>& throwing) {
+  const std::size_t n = pool.threads();
+  std::vector<std::atomic<int>> finished(n);
+  int caught = -1;
+  try {
+    pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        if (throwing[i]) throw std::runtime_error(std::to_string(i));
+        // Outlive the throwing chunks: the call must still wait for us.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        finished[i].store(1);
+      }
+    });
+  } catch (const std::runtime_error& e) {
+    caught = std::stoi(e.what());
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(finished[i].load(), throwing[i] ? 0 : 1) << "chunk " << i;
+  }
+  return caught;
+}
+
+TEST(ThreadPool, ThrowOnCallersChunkWaitsForWorkersThenRethrows) {
+  ThreadPool pool(4, 1);
+  EXPECT_EQ(throw_from_chunks(pool, {true, false, false, false}), 0);
+}
+
+TEST(ThreadPool, ThrowOnWorkerChunkReachesTheCaller) {
+  ThreadPool pool(4, 1);
+  EXPECT_EQ(throw_from_chunks(pool, {false, false, true, false}), 2);
+}
+
+TEST(ThreadPool, LowestIndexChunkExceptionWins) {
+  ThreadPool pool(4, 1);
+  EXPECT_EQ(throw_from_chunks(pool, {false, true, false, true}), 1);
+  EXPECT_EQ(throw_from_chunks(pool, {true, true, true, true}), 0);
+}
+
+TEST(ThreadPool, UsableAfterAThrow) {
+  ThreadPool pool(3, 1);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<bool> throwing(3, false);
+    throwing[static_cast<std::size_t>(round % 3)] = true;
+    EXPECT_EQ(throw_from_chunks(pool, throwing), round % 3);
+    // A clean call right after: no stale exception resurfaces.
+    std::vector<int> v(3000, 0);
+    pool.parallel_for(v.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) v[i] = 1;
+    });
+    EXPECT_EQ(std::accumulate(v.begin(), v.end(), 0), 3000);
+  }
+}
+
+TEST(ThreadPool, InlineRunPropagatesExceptions) {
+  ThreadPool pool(4);  // below the default cutoff: runs on the caller
+  const auto throwing = [](std::size_t, std::size_t) { throw std::runtime_error("inline"); };
+  EXPECT_THROW(pool.parallel_for(10, throwing), std::runtime_error);
 }
 
 /// One full gather + scatter_add round on every rank with the given pool
