@@ -61,8 +61,24 @@ std::size_t internal_nodes(std::size_t n, std::size_t leaf) {
   return 1 + internal_nodes(n / 2, leaf) + internal_nodes(n - n / 2, leaf);
 }
 
-/// Per-thread storage reused across every node the thread bisects.
+/// Per-thread storage reused across every node the thread bisects. The
+/// caller reserves it before the fork, so pool threads never allocate: a
+/// thread that allocates gets its own malloc arena, which outlives the pool
+/// and is handed to the next threads the process starts (the cluster's
+/// rank threads), and those measurably ran slower on it.
 struct Scratch {
+  Scratch(const Csr& g, std::size_t max_steps)
+      : local(static_cast<std::size_t>(g.num_vertices()), -1) {
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    offsets.reserve(n + 1);
+    adj.reserve(g.targets().size());
+    order.reserve(n);
+    for (auto* v : {&lanczos.alpha, &lanczos.beta, &lanczos.diag, &lanczos.off}) {
+      v->reserve(max_steps);
+    }
+    lanczos.vecs.reserve(max_steps * max_steps);
+  }
+
   std::vector<Vertex> local;       ///< global -> local id, -1 outside the node
   std::vector<EdgeIndex> offsets;  ///< induced subgraph CSR: row starts
   std::vector<Vertex> adj;         ///< induced subgraph CSR: local neighbours
@@ -135,7 +151,6 @@ class Rsb {
   /// Two passes size it exactly, so a thread's scratch never exceeds its
   /// largest node.
   void induce(std::span<const Vertex> ids, Scratch& s) const {
-    if (s.local.empty()) s.local.assign(static_cast<std::size_t>(g_.num_vertices()), -1);
     for (std::size_t i = 0; i < ids.size(); ++i) {
       s.local[static_cast<std::size_t>(ids[i])] = static_cast<Vertex>(i);
     }
@@ -201,7 +216,10 @@ std::vector<Vertex> spectral_order(const Csr& g, const SpectralOptions& opts, un
   // One pool index per thread, so each index owns its Scratch; thread t
   // takes the contiguous block [L*t/T, L*(t+1)/T) of a level of L nodes.
   support::ThreadPool pool(threads, /*serial_cutoff=*/1);
-  std::vector<Scratch> scratch(threads);
+  std::vector<Scratch> scratch;
+  scratch.reserve(threads);
+  const std::size_t max_steps = std::min(static_cast<std::size_t>(opts.lanczos_steps), ids.size());
+  for (unsigned t = 0; t < threads; ++t) scratch.emplace_back(g, max_steps);
   auto for_each_block = [&](const std::vector<Node>& level, auto&& fn) {
     pool.parallel_for(threads, [&](std::size_t begin, std::size_t end) {
       for (std::size_t t = begin; t < end; ++t) {
