@@ -1,18 +1,19 @@
 // Transport calibration: measured real-backend cost vs the NetworkModel.
 //
 // The virtual backend *prices* communication with sim::NetworkModel terms
-// (latency, per-byte, per-message overhead, intra vs inter node); the shm
-// and tcp backends *pay* for it in host wall-clock. This bench closes the
-// loop between the two:
+// (latency, per-byte, per-message overhead, intra vs inter node); the tcp
+// backend *pays* for it in host wall-clock. This bench closes the loop
+// between the two:
 //
-//   1. Micro-calibration on the real backends — ping-pong RTT/2 for the
-//      latency term (intra-node through the shm rings, inter-node through
-//      loopback TCP), a large-vs-small message delta for the per-byte term,
-//      and back-to-back sends for the per-message sender overhead.
+//   1. Micro-calibration on the real backend — ping-pong RTT/2 for the
+//      latency term (intra-node through co-resident mailboxes, inter-node
+//      through loopback TCP), a large-vs-small message delta for the
+//      per-byte term, and back-to-back sends for the per-message sender
+//      overhead.
 //   2. A NetworkModel fitted from those measurements.
 //   3. The same schedule-driven coalesced exchange run twice: once on the
 //      virtual backend under the fitted model (modeled seconds), once on
-//      each real backend under a host timer (measured seconds). The per-run
+//      the tcp backend under a host timer (measured seconds). The per-run
 //      relative error is the headline number: how well the analytic model,
 //      fed calibrated terms, predicts this machine.
 //
@@ -199,14 +200,14 @@ int main(int argc, char** argv) {
 
   std::cout << "\n=== transport calibration: measured (host) vs modeled ===\n"
             << "(micro-terms from ping-pong / back-to-back probes on the real\n"
-            << " backends; the fitted model then predicts a schedule-driven\n"
+            << " backend; the fitted model then predicts a schedule-driven\n"
             << " coalesced exchange and is scored against the measured time)\n";
 
   JsonReporter report;
 
   // --- 1. Micro-calibration: 4 ranks on 2 nodes; the tcp backend gives both
-  // an intra-node route (ranks 0-1, shm rings) and an inter-node route
-  // (ranks 0-2, loopback sockets) in one cluster.
+  // an intra-node route (ranks 0-1, co-resident mailboxes) and an inter-node
+  // route (ranks 0-2, loopback sockets) in one cluster.
   sim::MachineSpec spec = sim::MachineSpec::uniform(4);
   mp::Cluster tcp_cluster(spec, mp::NodeMap::contiguous(4, 2),
                           mp::TransportKind::kTcp);
@@ -219,7 +220,7 @@ int main(int argc, char** argv) {
   TextTable terms("micro-calibrated terms (this machine)");
   terms.set_header({"route", "latency_us", "MB_per_s", "send_overhead_us"});
   terms.row()
-      .cell("intra-node (shm ring)")
+      .cell("intra-node (mailbox)")
       .cell(intra.latency * 1e6, 2)
       .cell(mbps(intra.per_byte), 1)
       .cell(intra.per_send * 1e6, 2);
@@ -239,7 +240,7 @@ int main(int argc, char** argv) {
       .field("inter_send_overhead_measured", inter.per_send);
 
   // --- 2. Fit a NetworkModel from the measured terms. The asynchronous-
-  // stack shape (send_per_byte = 0) matches how the real backends behave:
+  // stack shape (send_per_byte = 0) matches how the real backend behaves:
   // the sender's cost is the per-message overhead, the bytes ride the wire
   // term.
   sim::NetworkModel fitted;
@@ -258,18 +259,12 @@ int main(int argc, char** argv) {
   // --- 3. Score the fitted model against the measured schedule exchange.
   double modeled = 0.0;
   (void)run_exchange(mp::TransportKind::kVirtual, fitted, iters, &modeled);
-  const double shm_measured =
-      run_exchange(mp::TransportKind::kShm, fitted, iters, nullptr);
   const double tcp_measured =
       run_exchange(mp::TransportKind::kTcp, fitted, iters, nullptr);
 
   TextTable score("schedule-driven exchange: modeled vs measured");
   score.set_header({"backend", "seconds", "rel_error_vs_model"});
   score.row().cell("virtual (modeled)").cell(modeled, 6).cell("-");
-  score.row()
-      .cell("shm (measured)")
-      .cell(shm_measured, 6)
-      .cell(format_number(rel_error(modeled, shm_measured) * 100.0, 1) + "%");
   score.row()
       .cell("tcp (measured)")
       .cell(tcp_measured, 6)
@@ -278,9 +273,7 @@ int main(int argc, char** argv) {
 
   report.entry("exchange_calibration")
       .field("modeled_seconds", modeled)
-      .field("shm_measured_seconds", shm_measured)
       .field("tcp_measured_seconds", tcp_measured)
-      .field("shm_rel_error", rel_error(modeled, shm_measured))
       .field("tcp_rel_error", rel_error(modeled, tcp_measured))
       .field("iterations", static_cast<long long>(iters))
       .field("fitted_latency", fitted.latency)

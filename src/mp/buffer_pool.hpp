@@ -1,11 +1,10 @@
-// Bounded pool of payload buffers shared by the message delivery
-// structures (Mailbox, ShmRing). Senders acquire their payload storage from
-// the *receiver's* pool and the receiver recycles it after consuming the
-// message, so steady-state exchanges perform no heap allocations.
+// Bounded pool of payload buffers behind each Mailbox, the message delivery
+// queue. Senders acquire their payload storage from the *receiver's* pool
+// and the receiver recycles it after consuming the message, so steady-state
+// exchanges perform no heap allocations.
 //
-// The pool is NOT internally synchronized: each owner guards it with its own
-// mutex (the same one protecting its queue), which keeps acquire/deposit a
-// single lock acquisition.
+// The pool is NOT internally synchronized: its Mailbox guards it with a
+// dedicated mutex, so buffer recycling never contends with message matching.
 #pragma once
 
 #include <cstddef>

@@ -7,13 +7,13 @@
 //   double t = cluster.makespan();   // virtual seconds of the slowest rank
 //
 // The transport backend (mp/transport.hpp) is chosen at construction:
-// kVirtual (the default) is the deterministic in-process oracle; kShm and
-// kTcp move the same bytes through real shared-memory rings and loopback
-// TCP sockets. Virtual clock charging lives in Process, so virtual times
-// are bit-identical across backends — the selector changes how the bytes
-// travel, never what the experiment measures. kDefault defers to the
-// STANCE_TRANSPORT environment variable, letting the same binaries run on
-// any backend.
+// kVirtual (the default) is the deterministic in-process oracle; kTcp moves
+// the same bytes through the same per-rank mailboxes between co-resident
+// ranks and over loopback TCP sockets between nodes. Virtual clock charging
+// lives in Process, so virtual times are bit-identical across backends —
+// the selector changes how the bytes travel, never what the experiment
+// measures. kDefault defers to the STANCE_TRANSPORT environment variable,
+// letting the same binaries run on any backend.
 //
 // Clocks persist across run() calls (multi-stage experiments accumulate
 // time); reset_clocks() starts a fresh experiment on the same cluster.

@@ -108,8 +108,8 @@ class RunDeadlineExceeded : public std::runtime_error {
   explicit RunDeadlineExceeded(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Failure description threaded through the delivery structures (ShmRing /
-/// Mailbox / Rendezvous): poisoning a queue stores one of these, and every
+/// Failure description threaded through the delivery structures (Mailbox /
+/// Rendezvous): poisoning a queue stores one of these, and every
 /// blocked or future taker rematerializes it as PeerFailed (peer_failed set,
 /// peer known) or plain TransportError.
 struct FailNotice {

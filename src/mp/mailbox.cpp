@@ -84,6 +84,23 @@ std::optional<RawMessage> Mailbox::match_locked(Rank source, Tag tag) {
   return msg;
 }
 
+void Mailbox::purge_locked() {
+  drain_locked();
+  for (auto& [key, s] : stash_) {
+    s.q.clear();  // keeps capacity: prefilled steady state survives the purge
+    s.head = 0;
+  }
+  stashed_.store(0, std::memory_order_relaxed);
+}
+
+void Mailbox::unpoison() {
+  {
+    const std::lock_guard<std::mutex> lock(state_mutex_);
+    poison_.reset();
+  }
+  poisoned_.store(false, std::memory_order_seq_cst);
+}
+
 void Mailbox::raise_if_failed() {
   if (poisoned_.load(std::memory_order_acquire)) {
     const std::lock_guard<std::mutex> lock(state_mutex_);
@@ -98,11 +115,25 @@ void Mailbox::notify_consumers() {
 }
 
 RawMessage Mailbox::take(Rank source, Tag tag) {
+  return *wait_take(source, tag, std::chrono::steady_clock::time_point::max());
+}
+
+std::optional<RawMessage> Mailbox::take_for(Rank source, Tag tag,
+                                            std::chrono::milliseconds timeout) {
+  return wait_take(source, tag, std::chrono::steady_clock::now() + timeout);
+}
+
+std::optional<RawMessage> Mailbox::wait_take(
+    Rank source, Tag tag, std::chrono::steady_clock::time_point deadline) {
+  const bool bounded = deadline != std::chrono::steady_clock::time_point::max();
   const std::lock_guard<std::mutex> consumer(consumer_mutex_);
   for (;;) {
     raise_if_failed();
     drain_locked();
-    if (auto msg = match_locked(source, tag)) return std::move(*msg);
+    if (auto msg = match_locked(source, tag)) return msg;
+    // Timed out: the pass above already re-checked failure state and
+    // deposits that raced the expiry.
+    if (bounded && std::chrono::steady_clock::now() >= deadline) return std::nullopt;
     // Arm the sleeping flag, then re-check for deposits that raced the
     // drain; only park when the box is verifiably idle (see deposit()).
     std::unique_lock<std::mutex> wake(wake_mutex_);
@@ -110,17 +141,19 @@ RawMessage Mailbox::take(Rank source, Tag tag) {
     if (undrained_.load(std::memory_order_seq_cst) == 0 &&
         !down_.load(std::memory_order_acquire) &&
         !poisoned_.load(std::memory_order_acquire)) {
-      cv_.wait(wake);  // spurious wakeups just re-run the loop
+      // Spurious wakeups and timeouts just re-run the loop.
+      if (bounded) {
+        cv_.wait_until(wake, deadline);
+      } else {
+        cv_.wait(wake);
+      }
     }
     sleeping_.store(false, std::memory_order_relaxed);
   }
 }
 
 std::optional<RawMessage> Mailbox::try_take(Rank source, Tag tag) {
-  const std::lock_guard<std::mutex> consumer(consumer_mutex_);
-  raise_if_failed();
-  drain_locked();
-  return match_locked(source, tag);
+  return wait_take(source, tag, std::chrono::steady_clock::time_point::min());
 }
 
 std::vector<std::byte> Mailbox::acquire(std::size_t size) {
@@ -168,17 +201,8 @@ void Mailbox::fence(std::uint32_t floor) {
     while (floor > cur &&
            !epoch_floor_.compare_exchange_weak(cur, floor, std::memory_order_acq_rel)) {
     }
-    drain_locked();
-    for (auto& [key, s] : stash_) {
-      s.q.clear();  // keeps capacity: prefilled steady state survives the purge
-      s.head = 0;
-    }
-    stashed_.store(0, std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      poison_.reset();
-    }
-    poisoned_.store(false, std::memory_order_seq_cst);
+    purge_locked();
+    unpoison();
     // down_ survives: the fence revives a *poisoned* mailbox for recovery,
     // not a shut-down cluster.
   }
@@ -187,29 +211,15 @@ void Mailbox::fence(std::uint32_t floor) {
 
 void Mailbox::clear() {
   const std::lock_guard<std::mutex> consumer(consumer_mutex_);
-  drain_locked();
-  for (auto& [key, s] : stash_) {
-    s.q.clear();  // keeps capacity: prefilled steady state survives the purge
-    s.head = 0;
-  }
-  stashed_.store(0, std::memory_order_relaxed);
+  purge_locked();
   // down_/poison_ deliberately survive: failure state is sticky until reset().
 }
 
 void Mailbox::reset() {
   const std::lock_guard<std::mutex> consumer(consumer_mutex_);
-  drain_locked();
-  for (auto& [key, s] : stash_) {
-    s.q.clear();  // keeps capacity: prefilled steady state survives the purge
-    s.head = 0;
-  }
-  stashed_.store(0, std::memory_order_relaxed);
+  purge_locked();
   down_.store(false, std::memory_order_seq_cst);
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    poison_.reset();
-  }
-  poisoned_.store(false, std::memory_order_seq_cst);
+  unpoison();
   epoch_floor_.store(0, std::memory_order_seq_cst);
 }
 

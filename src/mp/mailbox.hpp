@@ -1,4 +1,8 @@
-// Per-process incoming message queue with (source, tag) matching.
+// Per-process incoming message queue with (source, tag) matching — the one
+// delivery queue under every transport backend. The virtual backend's
+// senders deposit directly; the TCP backend's co-resident senders deposit
+// directly too, and its reader threads deposit frames received from remote
+// nodes.
 //
 // Sends are buffered (deposit never blocks), mirroring P4's buffered send;
 // receives block until a matching message arrives. Matching picks the
@@ -30,6 +34,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -68,6 +73,12 @@ class Mailbox {
   /// after poison().
   RawMessage take(Rank source, Tag tag);
 
+  /// Bounded-wait take: wait at most `timeout` for a match. Empty optional
+  /// on timeout (the caller owns retry/backoff/liveness policy); the same
+  /// exceptions as take() on shutdown/poison.
+  std::optional<RawMessage> take_for(Rank source, Tag tag,
+                                     std::chrono::milliseconds timeout);
+
   /// Non-blocking variant; empty optional if no match is queued.
   std::optional<RawMessage> try_take(Rank source, Tag tag);
 
@@ -98,9 +109,9 @@ class Mailbox {
   void shutdown();
 
   /// Mark the mailbox failed: blocked and future takers raise `notice`
-  /// (mp::PeerFailed for peer deaths). Sticky until reset() or fence(); the
-  /// first poison wins. Mirrors ShmRing::poison so the virtual backend has
-  /// the same failure surface as the real ones. Safe from any thread.
+  /// (mp::PeerFailed for peer deaths, mp::TransportError for a malformed
+  /// wire frame). Sticky until reset() or fence(); the first poison wins.
+  /// Safe from any thread.
   void poison(FailNotice notice);
 
   /// Recovery epoch fence: drop every queued message, clear poison, and
@@ -138,6 +149,16 @@ class Mailbox {
   /// a front pop — O(1) regardless of how deep other keys' backlogs are.
   /// Caller holds consumer_mutex_.
   std::optional<RawMessage> match_locked(Rank source, Tag tag);
+  /// The loop behind every take: match, else park until a deposit or state
+  /// change, else give up at `deadline` (never, for time_point::max();
+  /// after one pass, for time_point::min()). Takes consumer_mutex_.
+  std::optional<RawMessage> wait_take(Rank source, Tag tag,
+                                      std::chrono::steady_clock::time_point deadline);
+  /// Drain, then drop every stashed message (stash capacity is kept).
+  /// Caller holds consumer_mutex_.
+  void purge_locked();
+  /// Clear the poison notice and flag.
+  void unpoison();
   /// Raise poison / ClusterAborted if the mailbox is failed or down.
   void raise_if_failed();
   /// Wake any parked consumer after a state change (shutdown/poison/fence).

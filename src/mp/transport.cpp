@@ -7,7 +7,6 @@
 
 #include "mp/fault.hpp"
 #include "mp/node_map.hpp"
-#include "mp/shm_ring.hpp"
 #include "mp/transport_inproc.hpp"
 #include "mp/transport_tcp.hpp"
 #include "support/assert.hpp"
@@ -28,6 +27,7 @@ Transport::Transport(int nprocs)
     : nprocs_(nprocs),
       rendezvous_(static_cast<std::size_t>(nprocs)),
       dead_(static_cast<std::size_t>(nprocs), 0),
+      boxes_(static_cast<std::size_t>(nprocs)),
       liveness_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(nprocs)]),
       peer_timeout_ms_(env_peer_timeout_ms()) {
   STANCE_REQUIRE(nprocs > 0, "transport needs at least one rank");
@@ -67,7 +67,7 @@ void Transport::mark_dead(Rank rank, FailCause cause) {
   fail_pending_.store(true, std::memory_order_seq_cst);
   epoch_.fetch_add(1, std::memory_order_seq_cst);
   rendezvous_.mark_dead(rank, notice);
-  fail_local(notice);
+  poison_all(notice);
 }
 
 std::vector<Rank> Transport::dead_ranks() const {
@@ -102,7 +102,7 @@ Transport::SurvivorAgreement Transport::agree_on_survivors(Rank self, double tim
   // epoch floor, dropping pre-failure traffic including frames a TCP reader
   // is still draining from a socket.
   const std::uint32_t floor = epoch();
-  fence_local(self, floor);
+  box(self).fence(floor);
   // Round 2 — ack: nobody resumes until every queue is clean.
   const Rendezvous::Round r2 =
       rendezvous_.enter_recovery(self, std::max(time, r1.max_time), {});
@@ -118,7 +118,13 @@ void Transport::guard_send(Rank from) {
   if (fail_pending_.load(std::memory_order_seq_cst)) pending_notice_.raise();
 }
 
-void Transport::reset_base() {
+void Transport::shutdown() {
+  for (auto& b : boxes_) b.shutdown();
+  rendezvous_.shutdown();
+}
+
+void Transport::reset() {
+  for (auto& b : boxes_) b.reset();
   {
     std::lock_guard<std::mutex> lock(dead_mutex_);
     std::fill(dead_.begin(), dead_.end(), 0);
@@ -155,9 +161,22 @@ bool Transport::apply_frame_faults(Rank from, Rank to, std::span<const std::byte
   return true;
 }
 
-RawMessage Transport::deadline_take(ShmRing& ring, Rank self, Rank from, Tag tag) {
+void Transport::deliver_local(Rank from, Rank to, Tag tag,
+                              std::span<const std::byte> data, double arrival,
+                              std::uint32_t epoch) {
+  Mailbox& dest = box(to);
+  std::vector<std::byte> payload = dest.acquire(data.size());
+  std::copy(data.begin(), data.end(), payload.begin());
+  dest.deposit(RawMessage{from, tag, std::move(payload), arrival}, epoch);
+}
+
+void Transport::poison_all(const FailNotice& notice) {
+  for (auto& b : boxes_) b.poison(notice);
+}
+
+RawMessage Transport::deadline_take(Mailbox& inbox, Rank self, Rank from, Tag tag) {
   const int deadline_ms = peer_timeout_ms_;
-  if (deadline_ms <= 0) return ring.take(from, tag);
+  if (deadline_ms <= 0) return inbox.take(from, tag);
   // Bounded retry with exponential backoff: wait slices grow 2x from
   // deadline/8 up to the full deadline. The peer's liveness stamp re-arms
   // the budget — only a peer silent for a full cumulative deadline is
@@ -170,7 +189,7 @@ RawMessage Transport::deadline_take(ShmRing& ring, Rank self, Rank from, Tag tag
   for (;;) {
     heartbeat(self);  // a blocked-but-alive taker keeps its own stamp fresh
     const std::int64_t wait_ms = std::min(slice_ms, budget_ms);
-    auto msg = ring.take_for(from, tag, std::chrono::milliseconds(wait_ms));
+    auto msg = inbox.take_for(from, tag, std::chrono::milliseconds(wait_ms));
     if (msg.has_value()) return std::move(*msg);
     const std::uint64_t now_stamp =
         liveness_[static_cast<std::size_t>(from)].load(std::memory_order_relaxed);
@@ -195,9 +214,8 @@ TransportKind resolve_transport_kind(TransportKind requested) {
   if (env == nullptr || *env == '\0') return TransportKind::kVirtual;
   const std::string value(env);
   if (value == "virtual" || value == "inproc") return TransportKind::kVirtual;
-  if (value == "shm") return TransportKind::kShm;
   if (value == "tcp") return TransportKind::kTcp;
-  STANCE_REQUIRE(false, "STANCE_TRANSPORT must be one of: virtual, inproc, shm, tcp");
+  STANCE_REQUIRE(false, "STANCE_TRANSPORT must be one of: virtual, inproc, tcp");
   return TransportKind::kVirtual;  // unreachable
 }
 
@@ -206,8 +224,6 @@ std::unique_ptr<Transport> make_transport(TransportKind kind, int nprocs,
   switch (kind) {
     case TransportKind::kVirtual:
       return std::make_unique<VirtualTransport>(nprocs);
-    case TransportKind::kShm:
-      return std::make_unique<ShmTransport>(nprocs);
     case TransportKind::kTcp:
       return std::make_unique<TcpTransport>(nprocs, nodes);
     case TransportKind::kDefault:

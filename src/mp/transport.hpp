@@ -8,17 +8,23 @@
 // on every backend, and why the whole virtual-cluster test suite doubles as
 // a conformance suite for the real backends.
 //
-// Backends:
-//   kVirtual — threads + per-rank Mailboxes + a shared Rendezvous. The
-//              deterministic oracle; trusted (peers are this process).
-//   kShm     — per-rank ShmRing lanes for ALL rank pairs: the co-resident
-//              ("shared-memory mailbox ring") path of the real transport,
-//              run standalone. Trusted.
-//   kTcp     — ShmRing lanes between co-resident ranks plus framed TCP
-//              sockets between NodeMap nodes. Frames carry
+// Every backend delivers into the same per-rank Mailboxes (mp/mailbox.hpp),
+// owned by this base class together with everything that only touches
+// them: buffer pools, pending counts, shutdown/reset, poisoning on
+// mark_dead, the recovery fence, and the co-resident deliver. Backends
+// differ only in how bytes reach a remote rank's mailbox and in whether a
+// receive honors the peer deadline:
+//   kVirtual — every send is a co-resident deliver. The deterministic
+//              oracle; trusted (peers are this process). Receives block
+//              forever (hangs are the watchdog's job).
+//   kTcp     — co-resident delivers between ranks on one NodeMap node plus
+//              framed TCP sockets between nodes, whose reader threads
+//              deposit into the same mailboxes. Frames carry
 //              (source, tag, size) headers so coalesced frames travel
 //              unchanged. Untrusted: malformed peer frames surface as
-//              mp::TransportError, not assertions.
+//              mp::TransportError, not assertions. Receives honor the
+//              peer deadline. A one-node NodeMap is the all-co-resident
+//              layout: no sockets at all.
 //
 // Collectives ride a shared in-process Rendezvous on every backend: they
 // are control-plane synchronization whose cost Process models explicitly
@@ -45,8 +51,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "mp/mailbox.hpp"
 #include "mp/message.hpp"
 #include "mp/rendezvous.hpp"
 
@@ -54,12 +62,10 @@ namespace stance::mp {
 
 class NodeMap;
 class FaultInjector;
-class ShmRing;
 
 enum class TransportKind {
-  kDefault,  ///< resolve from $STANCE_TRANSPORT (virtual|shm|tcp); virtual if unset
+  kDefault,  ///< resolve from $STANCE_TRANSPORT (virtual|tcp); virtual if unset
   kVirtual,
-  kShm,
   kTcp,
 };
 
@@ -78,7 +84,7 @@ class Transport {
   /// (assertions). Untrusted backends (TCP) must instead surface them as
   /// recoverable mp::TransportError. A fault injector with payload-damaging
   /// rules makes ANY backend untrusted (its frames really may be wrong).
-  [[nodiscard]] virtual bool trusted() const noexcept = 0;
+  [[nodiscard]] virtual bool trusted() const noexcept { return !injector_untrusts(); }
 
   /// Deliver `data` from rank `from` to rank `to` under `tag`, stamped with
   /// the virtual `arrival` time Process computed. Buffered: never blocks on
@@ -90,21 +96,24 @@ class Transport {
 
   /// Block until a message from `from` with `tag` is available for `self`.
   /// Throws ClusterAborted after shutdown(), TransportError/PeerFailed on
-  /// failure. Backends with real waiting (shm/tcp) honor the peer timeout:
-  /// a silent peer is declared dead (mark_dead) and raised as PeerFailed.
+  /// failure. The real backend (tcp) honors the peer timeout: a silent
+  /// peer is declared dead (mark_dead) and raised as PeerFailed.
   [[nodiscard]] virtual RawMessage recv(Rank self, Rank from, Tag tag) = 0;
 
   /// Return a consumed payload buffer to `self`'s receive pool.
-  virtual void recycle(Rank self, std::vector<std::byte> buffer) = 0;
+  void recycle(Rank self, std::vector<std::byte> buffer) {
+    box(self).recycle(std::move(buffer));
+  }
 
   /// Pre-provision `self`'s receive pool: `count` buffers of `bytes` each.
   /// False when the pool cap truncated the request.
-  [[nodiscard]] virtual bool prefill(Rank self, std::size_t count,
-                                     std::size_t bytes) = 0;
+  [[nodiscard]] bool prefill(Rank self, std::size_t count, std::size_t bytes) {
+    return box(self).prefill(count, bytes);
+  }
 
   /// Messages queued for `self` (diagnostics; in-flight wire frames of the
   /// TCP backend are not counted until their reader deposits them).
-  [[nodiscard]] virtual std::size_t pending(Rank self) const = 0;
+  [[nodiscard]] std::size_t pending(Rank self) const { return box(self).pending(); }
 
   /// All-to-all rendezvous implementing the collectives. Completes over the
   /// live member set; raises PeerFailed while a failure is pending.
@@ -113,12 +122,12 @@ class Transport {
 
   /// Release every blocked receive/collective with ClusterAborted. Sticky:
   /// the transport stays down until reset().
-  virtual void shutdown() = 0;
+  void shutdown();
 
   /// Drop queued messages and revive after an aborted run (receive pools
-  /// survive; the TCP backend also fences out stale in-flight frames).
-  /// Also revives dead ranks and clears any pending failure.
-  virtual void reset() = 0;
+  /// survive; the epoch bump fences out stale in-flight frames). Also
+  /// revives dead ranks and clears any pending failure.
+  virtual void reset();
 
   // --- failure detection & recovery ----------------------------------------
 
@@ -168,14 +177,6 @@ class Transport {
  protected:
   explicit Transport(int nprocs);
 
-  /// Backend hook: poison every delivery queue with `notice` and drop the
-  /// dead rank's queued messages (called by mark_dead, any thread).
-  virtual void fail_local(const FailNotice& notice) = 0;
-
-  /// Backend hook: fence `self`'s delivery queue — purge it, clear poison,
-  /// raise its epoch floor (called from agree_on_survivors).
-  virtual void fence_local(Rank self, std::uint32_t floor) = 0;
-
   /// Send-path guard, called by every backend send before depositing
   /// anything: stamps `from`'s liveness, throws RankKilled when `from` was
   /// declared dead (an excommunicated rank must not pollute survivors'
@@ -183,12 +184,8 @@ class Transport {
   /// recovered. Steady-state cost is one relaxed atomic load.
   void guard_send(Rank from);
 
-  /// Reset the shared failure state (dead set, pending notice, rendezvous
-  /// membership) and bump the wire epoch; backends call this from reset().
-  void reset_base();
-
   /// True when an installed fault plan contains payload-damaging rules;
-  /// backends fold this into trusted().
+  /// the default trusted() is its negation.
   [[nodiscard]] bool injector_untrusts() const noexcept;
 
   /// Apply the installed frame-fault rules to one outbound frame. Returns
@@ -203,12 +200,24 @@ class Transport {
     liveness_[static_cast<std::size_t>(rank)].fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Deadline-honoring take for ring-based backends: blocks like
-  /// ShmRing::take when no deadline is set; otherwise waits in bounded
-  /// exponentially-backed-off slices, re-arming whenever `from`'s liveness
-  /// stamp advances, and declares `from` dead when a full deadline passes
-  /// without progress.
-  RawMessage deadline_take(ShmRing& ring, Rank self, Rank from, Tag tag);
+  [[nodiscard]] Mailbox& box(Rank rank) { return boxes_[static_cast<std::size_t>(rank)]; }
+  [[nodiscard]] const Mailbox& box(Rank rank) const {
+    return boxes_[static_cast<std::size_t>(rank)];
+  }
+
+  /// Co-resident deliver: copy `data` into a buffer from `to`'s pool and
+  /// deposit it stamped with wire epoch `epoch` (read before guard_send).
+  void deliver_local(Rank from, Rank to, Tag tag, std::span<const std::byte> data,
+                     double arrival, std::uint32_t epoch);
+
+  /// Poison every mailbox with `notice` (any thread).
+  void poison_all(const FailNotice& notice);
+
+  /// Deadline-honoring take: blocks like Mailbox::take when no deadline is
+  /// set; otherwise waits in bounded exponentially-backed-off slices,
+  /// re-arming whenever `from`'s liveness stamp advances, and declares
+  /// `from` dead when a full deadline passes without progress.
+  RawMessage deadline_take(Mailbox& inbox, Rank self, Rank from, Tag tag);
 
   const int nprocs_;
   Rendezvous rendezvous_;
@@ -221,12 +230,13 @@ class Transport {
   mutable std::mutex dead_mutex_;
   std::vector<char> dead_;
   FailNotice pending_notice_;  ///< valid while fail_pending_
+  std::vector<Mailbox> boxes_;  ///< one delivery queue per rank
   std::unique_ptr<std::atomic<std::uint64_t>[]> liveness_;
   int peer_timeout_ms_ = 0;
 };
 
 /// Resolve kDefault to a concrete backend via $STANCE_TRANSPORT
-/// ("virtual"/"inproc", "shm", "tcp"; unset or empty means virtual).
+/// ("virtual"/"inproc", "tcp"; unset or empty means virtual).
 /// Throws std::invalid_argument on an unknown value. Concrete kinds pass
 /// through unchanged.
 [[nodiscard]] TransportKind resolve_transport_kind(TransportKind requested);

@@ -1,15 +1,6 @@
 #include "mp/transport_inproc.hpp"
 
-#include <algorithm>
-
-#include "support/assert.hpp"
-
 namespace stance::mp {
-
-// --- VirtualTransport -------------------------------------------------------
-
-VirtualTransport::VirtualTransport(int nprocs)
-    : Transport(nprocs), boxes_(static_cast<std::size_t>(nprocs)) {}
 
 void VirtualTransport::send(Rank from, Rank to, Tag tag,
                             std::span<const std::byte> data, double arrival) {
@@ -20,97 +11,12 @@ void VirtualTransport::send(Rank from, Rank to, Tag tag,
   guard_send(from);
   std::vector<std::byte> scratch;
   if (!apply_frame_faults(from, to, data, arrival, scratch)) return;
-  Mailbox& box = boxes_[static_cast<std::size_t>(to)];
-  std::vector<std::byte> payload = box.acquire(data.size());
-  std::copy(data.begin(), data.end(), payload.begin());
-  box.deposit(RawMessage{from, tag, std::move(payload), arrival}, e);
+  deliver_local(from, to, tag, data, arrival, e);
 }
 
 RawMessage VirtualTransport::recv(Rank self, Rank from, Tag tag) {
   heartbeat(self);
-  return boxes_[static_cast<std::size_t>(self)].take(from, tag);
-}
-
-void VirtualTransport::recycle(Rank self, std::vector<std::byte> buffer) {
-  boxes_[static_cast<std::size_t>(self)].recycle(std::move(buffer));
-}
-
-bool VirtualTransport::prefill(Rank self, std::size_t count, std::size_t bytes) {
-  return boxes_[static_cast<std::size_t>(self)].prefill(count, bytes);
-}
-
-std::size_t VirtualTransport::pending(Rank self) const {
-  return boxes_[static_cast<std::size_t>(self)].pending();
-}
-
-void VirtualTransport::shutdown() {
-  for (auto& box : boxes_) box.shutdown();
-  rendezvous_.shutdown();
-}
-
-void VirtualTransport::reset() {
-  for (auto& box : boxes_) box.reset();
-  reset_base();
-}
-
-void VirtualTransport::fail_local(const FailNotice& notice) {
-  for (auto& box : boxes_) box.poison(notice);
-}
-
-void VirtualTransport::fence_local(Rank self, std::uint32_t floor) {
-  boxes_[static_cast<std::size_t>(self)].fence(floor);
-}
-
-// --- ShmTransport -----------------------------------------------------------
-
-ShmTransport::ShmTransport(int nprocs) : Transport(nprocs) {
-  for (int r = 0; r < nprocs; ++r) rings_.emplace_back(nprocs);
-}
-
-void ShmTransport::send(Rank from, Rank to, Tag tag, std::span<const std::byte> data,
-                        double arrival) {
-  const std::uint32_t e = epoch();
-  guard_send(from);
-  std::vector<std::byte> scratch;
-  if (!apply_frame_faults(from, to, data, arrival, scratch)) return;
-  ShmRing& ring = rings_[static_cast<std::size_t>(to)];
-  std::vector<std::byte> payload = ring.acquire(data.size());
-  std::copy(data.begin(), data.end(), payload.begin());
-  ring.deposit(RawMessage{from, tag, std::move(payload), arrival}, e);
-}
-
-RawMessage ShmTransport::recv(Rank self, Rank from, Tag tag) {
-  return deadline_take(rings_[static_cast<std::size_t>(self)], self, from, tag);
-}
-
-void ShmTransport::recycle(Rank self, std::vector<std::byte> buffer) {
-  rings_[static_cast<std::size_t>(self)].recycle(std::move(buffer));
-}
-
-bool ShmTransport::prefill(Rank self, std::size_t count, std::size_t bytes) {
-  return rings_[static_cast<std::size_t>(self)].prefill(count, bytes);
-}
-
-std::size_t ShmTransport::pending(Rank self) const {
-  return rings_[static_cast<std::size_t>(self)].pending();
-}
-
-void ShmTransport::shutdown() {
-  for (auto& ring : rings_) ring.shutdown();
-  rendezvous_.shutdown();
-}
-
-void ShmTransport::reset() {
-  for (auto& ring : rings_) ring.reset();
-  reset_base();
-}
-
-void ShmTransport::fail_local(const FailNotice& notice) {
-  for (auto& ring : rings_) ring.poison(notice);
-}
-
-void ShmTransport::fence_local(Rank self, std::uint32_t floor) {
-  rings_[static_cast<std::size_t>(self)].fence(floor);
+  return box(self).take(from, tag);
 }
 
 }  // namespace stance::mp

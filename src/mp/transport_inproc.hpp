@@ -1,76 +1,28 @@
-// In-process transport backends.
+// In-process transport backend.
 //
-// VirtualTransport is the original simulator plumbing — per-rank Mailboxes
-// plus the shared Rendezvous — kept bit-identical as the deterministic
-// oracle. ShmTransport is the co-resident half of the real transport run
-// standalone: per-rank ShmRing lanes for every rank pair, exercising the
-// exact deposit/take structures the TCP backend uses for intra-node
-// traffic, without any sockets. ShmTransport honors the peer receive
-// deadline (a silent peer is declared dead); the virtual backend blocks
-// forever by design, so hangs there are the watchdog's job.
+// VirtualTransport is the original simulator plumbing — the base class's
+// per-rank Mailboxes plus the shared Rendezvous — kept bit-identical as the
+// deterministic oracle. Every send is a co-resident deliver; receives block
+// forever by design (no peer deadline), so hangs there are the watchdog's
+// job.
 #pragma once
 
-#include <deque>
-#include <vector>
-
-#include "mp/mailbox.hpp"
-#include "mp/shm_ring.hpp"
 #include "mp/transport.hpp"
 
 namespace stance::mp {
 
 class VirtualTransport final : public Transport {
  public:
-  explicit VirtualTransport(int nprocs);
+  explicit VirtualTransport(int nprocs) : Transport(nprocs) {}
 
   [[nodiscard]] const char* name() const noexcept override { return "virtual"; }
   [[nodiscard]] TransportKind kind() const noexcept override {
     return TransportKind::kVirtual;
   }
-  [[nodiscard]] bool trusted() const noexcept override { return !injector_untrusts(); }
 
   void send(Rank from, Rank to, Tag tag, std::span<const std::byte> data,
             double arrival) override;
   [[nodiscard]] RawMessage recv(Rank self, Rank from, Tag tag) override;
-  void recycle(Rank self, std::vector<std::byte> buffer) override;
-  [[nodiscard]] bool prefill(Rank self, std::size_t count, std::size_t bytes) override;
-  [[nodiscard]] std::size_t pending(Rank self) const override;
-  void shutdown() override;
-  void reset() override;
-
- protected:
-  void fail_local(const FailNotice& notice) override;
-  void fence_local(Rank self, std::uint32_t floor) override;
-
- private:
-  std::vector<Mailbox> boxes_;
-};
-
-class ShmTransport final : public Transport {
- public:
-  explicit ShmTransport(int nprocs);
-
-  [[nodiscard]] const char* name() const noexcept override { return "shm"; }
-  [[nodiscard]] TransportKind kind() const noexcept override {
-    return TransportKind::kShm;
-  }
-  [[nodiscard]] bool trusted() const noexcept override { return !injector_untrusts(); }
-
-  void send(Rank from, Rank to, Tag tag, std::span<const std::byte> data,
-            double arrival) override;
-  [[nodiscard]] RawMessage recv(Rank self, Rank from, Tag tag) override;
-  void recycle(Rank self, std::vector<std::byte> buffer) override;
-  [[nodiscard]] bool prefill(Rank self, std::size_t count, std::size_t bytes) override;
-  [[nodiscard]] std::size_t pending(Rank self) const override;
-  void shutdown() override;
-  void reset() override;
-
- protected:
-  void fail_local(const FailNotice& notice) override;
-  void fence_local(Rank self, std::uint32_t floor) override;
-
- private:
-  std::deque<ShmRing> rings_;  ///< deque: ShmRing is pinned (mutex/cv members)
 };
 
 }  // namespace stance::mp

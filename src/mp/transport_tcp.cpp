@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -75,8 +74,7 @@ TcpTransport::TcpTransport(int nprocs, const NodeMap& nodes)
   STANCE_REQUIRE(nodes.nprocs() == nprocs, "tcp transport: node map mismatch");
   node_of_.reserve(static_cast<std::size_t>(nprocs));
   for (Rank r = 0; r < nprocs; ++r) node_of_.push_back(nodes.node_of(r));
-  for (int r = 0; r < nprocs; ++r) rings_.emplace_back(nprocs);
-  if (nnodes_ < 2) return;  // single node: pure shared-memory, no sockets
+  if (nnodes_ < 2) return;  // single node: all co-resident, no sockets
 
   // Loopback listener on an ephemeral port; one connection per node pair,
   // established sequentially (we are the only connector, so accept order
@@ -148,10 +146,7 @@ void TcpTransport::send(Rank from, Rank to, Tag tag, std::span<const std::byte> 
   const int from_node = node_of_[static_cast<std::size_t>(from)];
   const int to_node = node_of_[static_cast<std::size_t>(to)];
   if (from_node == to_node) {
-    ShmRing& ring = rings_[static_cast<std::size_t>(to)];
-    std::vector<std::byte> payload = ring.acquire(data.size());
-    std::copy(data.begin(), data.end(), payload.begin());
-    ring.deposit(RawMessage{from, tag, std::move(payload), arrival}, e);
+    deliver_local(from, to, tag, data, arrival, e);
     return;
   }
   STANCE_REQUIRE(data.size() <= kMaxFrameBytes, "tcp transport: frame too large");
@@ -191,32 +186,14 @@ void TcpTransport::send(Rank from, Rank to, Tag tag, std::span<const std::byte> 
 }
 
 RawMessage TcpTransport::recv(Rank self, Rank from, Tag tag) {
-  return deadline_take(rings_[static_cast<std::size_t>(self)], self, from, tag);
-}
-
-void TcpTransport::recycle(Rank self, std::vector<std::byte> buffer) {
-  rings_[static_cast<std::size_t>(self)].recycle(std::move(buffer));
-}
-
-bool TcpTransport::prefill(Rank self, std::size_t count, std::size_t bytes) {
-  return rings_[static_cast<std::size_t>(self)].prefill(count, bytes);
-}
-
-std::size_t TcpTransport::pending(Rank self) const {
-  return rings_[static_cast<std::size_t>(self)].pending();
-}
-
-void TcpTransport::shutdown() {
-  for (auto& ring : rings_) ring.shutdown();
-  rendezvous_.shutdown();
+  return deadline_take(box(self), self, from, tag);
 }
 
 void TcpTransport::reset() {
-  // reset_base() bumps the wire epoch, fencing out in-flight traffic of the
-  // aborted run: readers drop frames stamped with the old epoch as they
+  // The base reset bumps the wire epoch, fencing out in-flight traffic of
+  // the aborted run: readers drop frames stamped with the old epoch as they
   // drain the sockets.
-  for (auto& ring : rings_) ring.reset();
-  reset_base();
+  Transport::reset();
   if (wire_dead_.load()) {
     // A desynced byte stream cannot be re-framed; stay failed.
     poison_all(
@@ -245,16 +222,6 @@ void TcpTransport::corrupt_wire(int from_node, int to_node,
   }
 }
 
-void TcpTransport::poison_all(const FailNotice& notice) {
-  for (auto& ring : rings_) ring.poison(notice);
-}
-
-void TcpTransport::fail_local(const FailNotice& notice) { poison_all(notice); }
-
-void TcpTransport::fence_local(Rank self, std::uint32_t floor) {
-  rings_[static_cast<std::size_t>(self)].fence(floor);
-}
-
 void TcpTransport::reader_loop(int node, int peer, int fd) {
   for (;;) {
     WireHeader header;
@@ -276,16 +243,17 @@ void TcpTransport::reader_loop(int node, int peer, int fd) {
                             .peer_failed = false});
       return;  // stream is desynced; stop reading this wire
     }
-    ShmRing& ring = rings_[static_cast<std::size_t>(header.dest)];
-    std::vector<std::byte> payload = ring.acquire(header.size);
+    Mailbox& dest = box(header.dest);
+    std::vector<std::byte> payload = dest.acquire(header.size);
     if (!read_exact(fd, payload.data(), header.size)) return;
     if (header.epoch != epoch()) {
-      ring.recycle(std::move(payload));  // stale frame from before a reset/failure
+      dest.recycle(std::move(payload));  // stale frame from before a reset/failure
       continue;
     }
-    // The ring's epoch floor re-checks staleness under its own lock, closing
-    // the race where the epoch advances between the check above and here.
-    ring.deposit(RawMessage{header.source, header.tag, std::move(payload),
+    // The mailbox's epoch floor re-checks staleness at deposit and again at
+    // drain, closing the race where the epoch advances between the check
+    // above and here.
+    dest.deposit(RawMessage{header.source, header.tag, std::move(payload),
                             header.arrival},
                  header.epoch);
   }

@@ -1,23 +1,25 @@
 // TCP transport backend: real sockets between NodeMap nodes.
 //
-// Co-resident ranks exchange through ShmRing lanes exactly like the shm
-// backend. Ranks on different nodes exchange framed messages over loopback
-// TCP connections — one full-duplex connection per node pair, established
-// at construction. Every frame carries a fixed header
-// (magic, epoch, source, dest, tag, size, arrival): source/tag let the
-// receiver lane-match without inspecting the payload, so coalesced frames
-// (sched::CoalescePlan's tag-transformed messages) travel unchanged; the
-// arrival stamp carries Process's virtual-time accounting across the wire,
-// keeping virtual clocks bit-identical to the in-process backends.
+// Co-resident ranks exchange through the base class's per-rank Mailboxes
+// exactly like the virtual backend. Ranks on different nodes exchange
+// framed messages over loopback TCP connections — one full-duplex
+// connection per node pair, established at construction. Every frame
+// carries a fixed header (magic, epoch, source, dest, tag, size, arrival):
+// source/tag let the receiver match without inspecting the payload, so
+// coalesced frames (sched::CoalescePlan's tag-transformed messages) travel
+// unchanged; the arrival stamp carries Process's virtual-time accounting
+// across the wire, keeping virtual clocks bit-identical to the virtual
+// backend.
 //
 // Concurrency: co-resident senders share their node's connection to each
 // peer node under a per-connection write mutex — each frame is written
 // atomically, so TCP's in-order delivery preserves per-(source, tag) FIFO.
 // One reader thread per connection endpoint validates headers and deposits
-// frames into the destination rank's ring.
+// frames into the destination rank's mailbox (a lock-free MPSC ring: reader
+// threads and co-resident senders are its producers).
 //
 // Trust: this backend is untrusted. A frame that fails validation (bad
-// magic, out-of-range ranks, oversized payload) poisons the rings —
+// magic, out-of-range ranks, oversized payload) poisons the mailboxes —
 // blocked receivers throw mp::TransportError attributing the sending node
 // with FailCause::kMalformedFrame instead of aborting the process — and
 // permanently fails the transport (a desynced byte stream cannot be
@@ -33,12 +35,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "mp/shm_ring.hpp"
 #include "mp/transport.hpp"
 
 namespace stance::mp {
@@ -57,10 +57,8 @@ class TcpTransport final : public Transport {
   void send(Rank from, Rank to, Tag tag, std::span<const std::byte> data,
             double arrival) override;
   [[nodiscard]] RawMessage recv(Rank self, Rank from, Tag tag) override;
-  void recycle(Rank self, std::vector<std::byte> buffer) override;
-  [[nodiscard]] bool prefill(Rank self, std::size_t count, std::size_t bytes) override;
-  [[nodiscard]] std::size_t pending(Rank self) const override;
-  void shutdown() override;
+  /// Base reset, then re-poison every mailbox if the wire desynced (a
+  /// desynced byte stream cannot be re-framed).
   void reset() override;
 
   /// Test hook (malformed-frame injection): write raw `junk` bytes on the
@@ -83,10 +81,6 @@ class TcpTransport final : public Transport {
   static constexpr std::uint32_t kMagic = 0x53'54'4e'43u;  // "STNC"
   static constexpr std::uint32_t kMaxFrameBytes = 1u << 28;
 
- protected:
-  void fail_local(const FailNotice& notice) override;
-  void fence_local(Rank self, std::uint32_t floor) override;
-
  private:
   /// One endpoint of a node-pair connection: this node's fd for traffic to
   /// and from `peer` node. Senders serialize on `write_mutex`; the reader
@@ -102,11 +96,9 @@ class TcpTransport final : public Transport {
   }
 
   void reader_loop(int node, int peer, int fd);
-  void poison_all(const FailNotice& notice);
 
   const int nnodes_;
   std::vector<int> node_of_;  ///< rank -> node, frozen at construction
-  std::deque<ShmRing> rings_;  ///< deque: ShmRing is pinned (mutex/cv members)
   std::vector<Link> links_;  ///< nnodes x nnodes, diagonal unused
   std::vector<std::thread> readers_;
   std::atomic<bool> wire_dead_{false};

@@ -5,7 +5,9 @@
 //
 // Global operator new is replaced with a thread-local counting shim; each
 // virtual workstation is one thread, so a rank's counter measures exactly
-// the allocations its own code path performed between two barriers.
+// the allocations its own code path performed between two barriers. The
+// guarantee holds on every backend (all of them deliver through the same
+// pooled Mailboxes), so the STANCE_TRANSPORT=tcp re-run asserts it too.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,19 +19,7 @@
 #include "exec/irregular_loop.hpp"
 #include "graph/builders.hpp"
 #include "mp/cluster.hpp"
-#include "mp/transport.hpp"
 #include "test_util.hpp"
-
-// The zero-alloc steady state is a guarantee of the *virtual* backend only:
-// its mailbox pool round-trips every payload buffer. The shm/tcp backends
-// queue through per-source deque lanes whose nodes churn, so when the suite
-// runs with STANCE_TRANSPORT=shm/tcp these tests skip rather than assert a
-// property the backend never promised (see README "Transports").
-#define STANCE_REQUIRE_VIRTUAL_TRANSPORT()                                 \
-  if (stance::mp::resolve_transport_kind(                                  \
-          stance::mp::TransportKind::kDefault) !=                          \
-      stance::mp::TransportKind::kVirtual)                                 \
-  GTEST_SKIP() << "zero-alloc steady state is a virtual-backend guarantee"
 
 // The replacement operators below deliberately pair malloc with free; once
 // call sites inline (e.g. make_unique of a header-only type at -O2), GCC's
@@ -89,7 +79,6 @@ std::vector<std::size_t> measure_steady_state(mp::Cluster& cluster, F&& iteratio
 }
 
 TEST(ExecAlloc, GatherScatterSteadyStateIsAllocationFree) {
-  STANCE_REQUIRE_VIRTUAL_TRANSPORT();
   Rng rng(99);
   const graph::Csr g = graph::random_delaunay(1500, 99);
   const auto part = test::random_partition(g.num_vertices(), 4, rng);
@@ -116,7 +105,6 @@ TEST(ExecAlloc, GatherScatterSteadyStateIsAllocationFree) {
 }
 
 TEST(ExecAlloc, ThreadedPackUnpackSteadyStateIsAllocationFree) {
-  STANCE_REQUIRE_VIRTUAL_TRANSPORT();
   // ISSUE 3 acceptance: the steady state stays allocation-free with the
   // pack/unpack thread pool enabled. Cutoff 1 forces every copy loop onto
   // the pool; worker threads are spawned during setup, and the fork/join
@@ -148,7 +136,6 @@ TEST(ExecAlloc, ThreadedPackUnpackSteadyStateIsAllocationFree) {
 }
 
 TEST(ExecAlloc, CoalescedExchangeSteadyStateIsAllocationFree) {
-  STANCE_REQUIRE_VIRTUAL_TRANSPORT();
   // The framed path reuses the same arenas and mailbox pool, so it is
   // allocation-free once the plan exists and the pool is prewarmed.
   Rng rng(78);
@@ -225,7 +212,6 @@ TEST(ExecAlloc, ConfigurePrewarmFloorsClampEveryRequest) {
 }
 
 TEST(ExecAlloc, IrregularLoopSteadyStateIsAllocationFree) {
-  STANCE_REQUIRE_VIRTUAL_TRANSPORT();
   Rng rng(7);
   const graph::Csr g = graph::random_delaunay(1200, 7);
   const auto part = test::random_partition(g.num_vertices(), 3, rng);
@@ -250,7 +236,6 @@ TEST(ExecAlloc, IrregularLoopSteadyStateIsAllocationFree) {
 }
 
 TEST(ExecAlloc, EdgeSweepSteadyStateIsAllocationFree) {
-  STANCE_REQUIRE_VIRTUAL_TRANSPORT();
   Rng rng(13);
   const graph::Csr g = graph::random_delaunay(1200, 13);
   const auto part = test::random_partition(g.num_vertices(), 3, rng);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 
 #include "mp/errors.hpp"
@@ -217,6 +219,85 @@ TEST(Mailbox, FenceDropsQueuedClearsPoisonAndFiltersStaleEpochs) {
   box.deposit(make_msg(1, 1, {3}, 0.0), /*epoch=*/1);
   const auto m = box.take(1, 1);
   EXPECT_EQ(from_bytes<int>(m.payload)[0], 3);
+}
+
+TEST(Mailbox, PoisonReleasesBlockedTakerWithTransportError) {
+  Mailbox box;
+  std::atomic<bool> got_error{false};
+  std::thread taker([&] {
+    try {
+      (void)box.take(0, 1);
+    } catch (const TransportError& e) {
+      got_error = std::string(e.what()).find("bad wire") != std::string::npos;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  box.poison(FailNotice{.what = "bad wire", .cause = FailCause::kMalformedFrame});
+  taker.join();
+  EXPECT_TRUE(got_error.load());
+  // Sticky across clear, revived by reset — and the first poison wins.
+  box.poison(FailNotice{.what = "second reason"});
+  box.clear();
+  try {
+    (void)box.take(0, 1);
+    FAIL() << "poison did not survive clear()";
+  } catch (const TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad wire"), std::string::npos) << e.what();
+  }
+  box.reset();
+  box.deposit(make_msg(0, 1, {3}, 0.0));
+  EXPECT_EQ(from_bytes<int>(box.take(0, 1).payload)[0], 3);
+}
+
+TEST(Mailbox, TakeForTimesOutEmpty) {
+  Mailbox box;
+  box.deposit(make_msg(1, 2, {7}, 0.0));  // wrong tag: must not match
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(box.take_for(1, 1, std::chrono::milliseconds(30)).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(30));
+  EXPECT_FALSE(box.take_for(1, 1, std::chrono::milliseconds(0)).has_value());
+  EXPECT_EQ(box.pending(), 1u);
+}
+
+TEST(Mailbox, TakeForReturnsMessageDepositedDuringWait) {
+  Mailbox box;
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    box.deposit(make_msg(4, 4, {44}, 0.0));
+  });
+  const auto m = box.take_for(4, 4, std::chrono::seconds(30));
+  producer.join();
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(from_bytes<int>(m->payload)[0], 44);
+}
+
+TEST(Mailbox, TakeForRaisesPoisonDuringWait) {
+  Mailbox box;
+  std::thread poisoner([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    box.poison(FailNotice{.what = "peer died",
+                          .peer = 3,
+                          .cause = FailCause::kTimeout,
+                          .peer_failed = true});
+  });
+  try {
+    (void)box.take_for(3, 1, std::chrono::seconds(30));
+    ADD_FAILURE() << "poison did not release the bounded wait";
+  } catch (const PeerFailed& e) {
+    EXPECT_EQ(e.peer(), 3);
+    EXPECT_EQ(e.cause(), FailCause::kTimeout);
+  }
+  poisoner.join();
+}
+
+TEST(Mailbox, TakeForRaisesClusterAbortedOnShutdownDuringWait) {
+  Mailbox box;
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    box.shutdown();
+  });
+  EXPECT_THROW((void)box.take_for(1, 1, std::chrono::seconds(30)), ClusterAborted);
+  closer.join();
 }
 
 TEST(Rendezvous, SingleParticipantCompletesImmediately) {

@@ -2,8 +2,8 @@
 // support::MpscRing unit semantics, multi-producer floods through the ring
 // and through mp::Mailbox, shutdown/poison while takers are blocked mid-
 // flood, and fault-injector interleavings at cluster level. The whole file
-// re-runs on the shm and tcp backends via the _shm/_tcp ctest variants, and
-// the CI tsan leg runs it under ThreadSanitizer — these tests are the data-
+// re-runs on the tcp backend (whose reader threads are extra producers) via
+// the _tcp ctest variant, and the CI tsan leg runs it under ThreadSanitizer — these tests are the data-
 // race oracle for the ring and the Dekker-style sleep/wake handshake.
 #include <gtest/gtest.h>
 

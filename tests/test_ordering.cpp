@@ -295,8 +295,8 @@ TEST(SpectralPins, PaperMeshMatchesRecordedFingerprint) {
   // The paper-scale mesh takes the threaded path on any multi-core host.
   // compute() is the Phase A entry the runtime calls (default options).
   if (!kPinsApply) GTEST_SKIP() << "FMA target: fingerprints are build-specific";
-  // Ordering never touches the transport: the shm/tcp reruns of this binary
-  // would only repeat the 30k-vertex solve (the costliest case under TSan).
+  // Ordering never touches the transport: the tcp rerun of this binary would
+  // only repeat the 30k-vertex solve (the costliest case under TSan).
   if (mp::resolve_transport_kind(mp::TransportKind::kDefault) != mp::TransportKind::kVirtual) {
     GTEST_SKIP() << "transport-independent; runs on the virtual backend only";
   }

@@ -363,7 +363,7 @@ TEST(ServiceAccounting, TenantsAreChargedTheFleetMakespanTheyUsed) {
 
 TEST(ServiceStress, ConcurrentSubmitWhileDraining) {
   // Submitters race the draining thread; TSan (CI matrix) watches the locks.
-  // Small meshes keep the shm/tcp re-runs of this suite fast.
+  // Small meshes keep the tcp re-run of this suite fast.
   ServiceOptions opts;
   opts.max_in_flight = 1024;
   opts.plan_cache_capacity = 4;

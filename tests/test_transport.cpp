@@ -1,10 +1,11 @@
-// Transport conformance suite (ISSUE 6): every backend must deliver the
-// same bytes in the same per-(source, tag) order and — because Process owns
-// all clock charging — produce bit-identical virtual times. The suite runs
-// each behavioral contract against the virtual oracle, the shared-memory
-// ring backend, and the TCP backend, plus TCP-only failure-injection tests
-// (malformed wire frames must surface as recoverable mp::TransportError)
-// and ShmRing lifecycle unit tests (sticky shutdown/poison until reset).
+// Transport conformance suite: every backend must deliver the same bytes in
+// the same per-(source, tag) order and — because Process owns all clock
+// charging — produce bit-identical virtual times. The suite runs each
+// behavioral contract against the virtual oracle, the TCP backend on two
+// nodes (intra- and inter-node pairs), and the TCP backend on one node
+// (every pair co-resident, no sockets), plus TCP-only failure-injection
+// tests (malformed wire frames must surface as recoverable
+// mp::TransportError).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +19,6 @@
 #include "graph/builders.hpp"
 #include "mp/cluster.hpp"
 #include "mp/errors.hpp"
-#include "mp/shm_ring.hpp"
 #include "mp/transport_tcp.hpp"
 #include "sched/coalesce.hpp"
 #include "test_util.hpp"
@@ -28,13 +28,15 @@ namespace {
 
 using mp::TransportKind;
 
-std::string kind_name(const ::testing::TestParamInfo<TransportKind>& info) {
-  switch (info.param) {
-    case TransportKind::kVirtual: return "virtual";
-    case TransportKind::kShm: return "shm";
-    case TransportKind::kTcp: return "tcp";
-    default: return "default";
-  }
+/// One conformance instance: a backend and its rank-to-node layout.
+struct Backend {
+  TransportKind kind;
+  int per_node;  ///< ranks per NodeMap node
+  const char* name;
+};
+
+std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
+  return info.param.name;
 }
 
 /// 4 ranks on 2 nodes: ranks 0,1 co-resident, ranks 2,3 co-resident —
@@ -44,7 +46,11 @@ mp::Cluster make_cluster(TransportKind kind, int nprocs = 4, int per_node = 2) {
                      mp::NodeMap::contiguous(nprocs, per_node), kind);
 }
 
-class TransportConformance : public ::testing::TestWithParam<TransportKind> {};
+mp::Cluster make_cluster(const Backend& backend) {
+  return make_cluster(backend.kind, 4, backend.per_node);
+}
+
+class TransportConformance : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(TransportConformance, PointToPointFifoPerSourceAndTag) {
   // Ranks 0 and 1 both stream interleaved tag-1/tag-2 sequences at rank 2
@@ -158,14 +164,14 @@ struct ExchangeResult {
 };
 
 /// The coalesced gather/scatter exchange from the executor suite, run on
-/// `kind`. Coalesced frames are the transport's hardest traffic: tag-
-/// transformed, delegate-routed, mixing intra-node forwards with inter-node
-/// frames.
-ExchangeResult run_coalesced_exchange(TransportKind kind,
+/// `kind` with `per_node` ranks per node. Coalesced frames are the
+/// transport's hardest traffic: tag-transformed, delegate-routed, mixing
+/// intra-node forwards with inter-node frames.
+ExchangeResult run_coalesced_exchange(TransportKind kind, int per_node,
                                       const std::vector<sched::InspectorResult>& results) {
   constexpr int kRanks = 4;
   mp::Cluster cluster(sim::MachineSpec::uniform(kRanks),
-                      mp::NodeMap::contiguous(kRanks, 2), kind);
+                      mp::NodeMap::contiguous(kRanks, per_node), kind);
   std::vector<sched::CoalescePlan> plans(kRanks);
   cluster.run([&](mp::Process& p) {
     plans[static_cast<std::size_t>(p.rank())] = sched::coalesce(
@@ -202,8 +208,10 @@ TEST_P(TransportConformance, CoalescedExchangeIsByteIdenticalToVirtualOracle) {
   const auto part = test::random_partition(g.num_vertices(), 4, rng);
   const auto results = test::build_all_schedules(g, part);
 
-  const ExchangeResult oracle = run_coalesced_exchange(TransportKind::kVirtual, results);
-  const ExchangeResult mine = run_coalesced_exchange(GetParam(), results);
+  const ExchangeResult oracle =
+      run_coalesced_exchange(TransportKind::kVirtual, 2, results);
+  const ExchangeResult mine =
+      run_coalesced_exchange(GetParam().kind, GetParam().per_node, results);
 
   for (std::size_t r = 0; r < 4; ++r) {
     test::expect_vectors_eq(mine.ghost[r], oracle.ghost[r]);
@@ -215,10 +223,10 @@ TEST_P(TransportConformance, CoalescedExchangeIsByteIdenticalToVirtualOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TransportConformance,
-                         ::testing::Values(TransportKind::kVirtual,
-                                           TransportKind::kShm,
-                                           TransportKind::kTcp),
-                         kind_name);
+                         ::testing::Values(Backend{TransportKind::kVirtual, 2, "virtual"},
+                                           Backend{TransportKind::kTcp, 2, "tcp"},
+                                           Backend{TransportKind::kTcp, 4, "tcp_one_node"}),
+                         backend_name);
 
 // --- TCP-only: untrusted-wire failure paths ---------------------------------
 
@@ -273,8 +281,8 @@ TEST(TcpTransport, SizeMismatchedFrameIsRecoverableOnUntrustedWire) {
 }
 
 TEST(TcpTransport, SingleNodeMapNeedsNoSockets) {
-  // All ranks co-resident: the TCP backend degrades to pure shared-memory
-  // rings and must work without opening a single socket.
+  // All ranks co-resident: the TCP backend degrades to pure in-memory
+  // mailbox delivery and must work without opening a single socket.
   mp::Cluster cluster(sim::MachineSpec::uniform(3),
                       mp::NodeMap::contiguous(3, 3), TransportKind::kTcp);
   cluster.run([](mp::Process& p) {
@@ -284,86 +292,47 @@ TEST(TcpTransport, SingleNodeMapNeedsNoSockets) {
   });
 }
 
+TEST(TcpTransport, OneNodeSilentPeerIsDeclaredDeadByDeadline) {
+  // The receive deadline guards co-resident pairs too: with every rank on
+  // one node no socket is involved, yet a silent peer is still declared
+  // dead and the survivors shrink cleanly.
+  mp::Cluster cluster(sim::MachineSpec::uniform(2), mp::NodeMap::contiguous(2, 2),
+                      TransportKind::kTcp);
+  cluster.transport().set_peer_timeout_ms(100);
+  cluster.run([](mp::Process& p) {
+    if (p.rank() == 0) return;  // never sends
+    try {
+      (void)p.recv_raw(0, /*tag=*/1);
+      FAIL() << "receive completed without a sender";
+    } catch (const mp::PeerFailed& e) {
+      EXPECT_EQ(e.peer(), 0);
+      EXPECT_EQ(e.cause(), mp::FailCause::kTimeout);
+      EXPECT_EQ(p.agree_on_survivors().survivors, (std::vector<mp::Rank>{1}));
+    }
+  });
+  EXPECT_EQ(cluster.dead_ranks(), (std::vector<mp::Rank>{0}));
+}
+
 TEST(TransportFactory, EnvSelectionAndValidation) {
   // Concrete kinds pass through resolve unchanged.
   EXPECT_EQ(mp::resolve_transport_kind(TransportKind::kTcp), TransportKind::kTcp);
-  EXPECT_EQ(mp::resolve_transport_kind(TransportKind::kShm), TransportKind::kShm);
+  EXPECT_EQ(mp::resolve_transport_kind(TransportKind::kVirtual), TransportKind::kVirtual);
   // kDefault honors STANCE_TRANSPORT (and falls back to virtual when unset).
   const char* old = std::getenv("STANCE_TRANSPORT");
   const std::string saved = old ? old : "";
-  ::setenv("STANCE_TRANSPORT", "shm", 1);
-  EXPECT_EQ(mp::resolve_transport_kind(TransportKind::kDefault), TransportKind::kShm);
-  ::setenv("STANCE_TRANSPORT", "bogus", 1);
-  EXPECT_THROW((void)mp::resolve_transport_kind(TransportKind::kDefault),
-               std::invalid_argument);
+  ::setenv("STANCE_TRANSPORT", "tcp", 1);
+  EXPECT_EQ(mp::resolve_transport_kind(TransportKind::kDefault), TransportKind::kTcp);
+  // "shm" names no backend: it fails like any unknown value (no alias).
+  for (const char* bad : {"shm", "bogus"}) {
+    ::setenv("STANCE_TRANSPORT", bad, 1);
+    EXPECT_THROW((void)mp::resolve_transport_kind(TransportKind::kDefault),
+                 std::invalid_argument)
+        << bad;
+  }
   ::unsetenv("STANCE_TRANSPORT");
   EXPECT_EQ(mp::resolve_transport_kind(TransportKind::kDefault),
             TransportKind::kVirtual);
   if (old) ::setenv("STANCE_TRANSPORT", saved.c_str(), 1);
-}
-
-// --- ShmRing lifecycle unit tests -------------------------------------------
-
-mp::RawMessage ring_msg(mp::Rank src, mp::Tag tag, int value) {
-  std::vector<int> v{value};
-  return mp::RawMessage{src, tag, mp::to_bytes(std::span<const int>(v)), 0.0};
-}
-
-TEST(ShmRing, PerSourceFifoWithInterleavedTags) {
-  mp::ShmRing ring(3);
-  ring.deposit(ring_msg(1, 5, 10));
-  ring.deposit(ring_msg(2, 5, 20));
-  ring.deposit(ring_msg(1, 6, 11));
-  ring.deposit(ring_msg(1, 5, 12));
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(1, 6).payload)[0], 11);
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(1, 5).payload)[0], 10);
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(1, 5).payload)[0], 12);
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(2, 5).payload)[0], 20);
-  EXPECT_EQ(ring.pending(), 0u);
-}
-
-TEST(ShmRing, ShutdownIsStickyAcrossClearUntilReset) {
-  mp::ShmRing ring(2);
-  ring.shutdown();
-  ring.clear();
-  ring.deposit(ring_msg(1, 1, 1));  // dropped: still down
-  EXPECT_EQ(ring.pending(), 0u);
-  EXPECT_THROW((void)ring.take(1, 1), mp::ClusterAborted);
-  ring.reset();
-  ring.deposit(ring_msg(1, 1, 2));
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(1, 1).payload)[0], 2);
-}
-
-TEST(ShmRing, PoisonReleasesBlockedTakerWithTransportError) {
-  mp::ShmRing ring(2);
-  std::atomic<bool> got_error{false};
-  std::thread taker([&] {
-    try {
-      (void)ring.take(0, 1);
-    } catch (const mp::TransportError& e) {
-      got_error = std::string(e.what()).find("bad wire") != std::string::npos;
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ring.poison("bad wire");
-  taker.join();
-  EXPECT_TRUE(got_error.load());
-  // Sticky across clear, revived by reset — and the first poison wins.
-  ring.poison("second reason");
-  ring.clear();
-  EXPECT_THROW((void)ring.take(0, 1), mp::TransportError);
-  ring.reset();
-  ring.deposit(ring_msg(0, 1, 3));
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(0, 1).payload)[0], 3);
-}
-
-TEST(ShmRing, PoolPrefillAndRecycleRoundTrip) {
-  mp::ShmRing ring(2);
-  EXPECT_TRUE(ring.prefill(4, 64));
-  auto buffer = ring.acquire(64);
-  EXPECT_EQ(buffer.size(), 64u);
-  ring.recycle(std::move(buffer));
-  EXPECT_FALSE(ring.prefill(100000, 8));  // cap reported, not silently granted
 }
 
 }  // namespace
