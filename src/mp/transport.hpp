@@ -6,7 +6,7 @@
 // A transport only moves bytes and preserves per-(source, tag) FIFO order —
 // which is why the same SPMD program produces bit-identical virtual times
 // on every backend, and why the whole virtual-cluster test suite doubles as
-// a conformance suite for the real backends.
+// a conformance suite for the real (tcp) backend.
 //
 // Every backend delivers into the same per-rank Mailboxes (mp/mailbox.hpp),
 // owned by this base class together with everything that only touches
@@ -166,7 +166,7 @@ class Transport {
   /// (excommunicated by a peer's failure detector).
   [[nodiscard]] SurvivorAgreement agree_on_survivors(Rank self, double time);
 
-  /// Receive deadline for the real backends, in milliseconds; <= 0 disables
+  /// Receive deadline for the tcp backend, in milliseconds; <= 0 disables
   /// (block forever). Initialized from $STANCE_PEER_TIMEOUT_MS. A blocked
   /// receive whose peer's liveness stamp stops advancing for a full
   /// deadline (checked with bounded exponential-backoff waits) declares the

@@ -433,20 +433,25 @@ TEST(ServiceStress, ConcurrentDrainIsRejected) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(svc.submit(job_for(mesh, "a", 1 + i % 3)).accepted);
   }
-  std::atomic<bool> second_threw{false};
+  // Either drain may win the race, so each one catches the single-flight
+  // rejection (an exception escaping the thread would abort the process).
+  std::atomic<int> rejected{0};
+  const auto drain = [&] {
+    try {
+      (void)svc.drain();
+    } catch (const std::invalid_argument&) {
+      rejected.fetch_add(1);
+    }
+  };
   std::atomic<bool> first_started{false};
   std::thread first([&] {
     first_started.store(true);
-    (void)svc.drain();
+    drain();
   });
   while (!first_started.load()) std::this_thread::yield();
-  try {
-    (void)svc.drain();  // either finishes after `first` or throws single-flight
-  } catch (const std::invalid_argument&) {
-    second_threw.store(true);
-  }
+  drain();
   first.join();
-  (void)second_threw;  // timing-dependent either way; the invariant is no crash
+  EXPECT_LE(rejected.load(), 1);  // which one (if any) is timing-dependent
   EXPECT_EQ(svc.stats().queued, 0u);
 }
 
