@@ -37,8 +37,7 @@ Cluster::Cluster(sim::MachineSpec spec, NodeMap node_map, TransportKind transpor
   }
   STANCE_REQUIRE(node_map_.nprocs() == nprocs(),
                  "cluster: node map does not cover every rank");
-  transport_ = make_transport(resolve_transport_kind(transport), nprocs(),
-                              resolve_transport_layout(transport, node_map_));
+  transport_ = make_transport(resolve_transport_kind(transport), nprocs(), node_map_);
   clocks_.reserve(spec_.size());
   for (const auto& node : spec_.nodes) {
     clocks_.emplace_back(node.speed, node.profile);

@@ -219,13 +219,6 @@ TransportKind resolve_transport_kind(TransportKind requested) {
   return TransportKind::kVirtual;  // unreachable
 }
 
-NodeMap resolve_transport_layout(TransportKind requested, const NodeMap& nodes) {
-  if (requested != TransportKind::kDefault || support::env_int("STANCE_TCP_COLOCATE") == 0) {
-    return nodes;
-  }
-  return NodeMap::contiguous(nodes.nprocs(), nodes.nprocs());
-}
-
 std::unique_ptr<Transport> make_transport(TransportKind kind, int nprocs,
                                           const NodeMap& nodes) {
   switch (kind) {

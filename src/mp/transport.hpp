@@ -241,14 +241,6 @@ class Transport {
 /// through unchanged.
 [[nodiscard]] TransportKind resolve_transport_kind(TransportKind requested);
 
-/// The layout a backend routes by: `nodes` itself, or — for a kDefault
-/// request while $STANCE_TCP_COLOCATE is nonzero — one node holding every
-/// rank. That is the all-co-resident layout: on tcp, no sockets, every
-/// delivery through the shared-memory mailboxes, receives still under the
-/// peer deadline. Only the transport sees it; Process keeps `nodes`, so
-/// virtual times are unchanged. Concrete kinds always route by `nodes`.
-[[nodiscard]] NodeMap resolve_transport_layout(TransportKind requested, const NodeMap& nodes);
-
 /// Construct a backend for `nprocs` ranks laid out by `nodes`. `kind` must
 /// be concrete (call resolve_transport_kind first).
 [[nodiscard]] std::unique_ptr<Transport> make_transport(TransportKind kind, int nprocs,

@@ -337,29 +337,5 @@ TEST(TransportFactory, EnvSelectionAndValidation) {
   if (old) ::setenv("STANCE_TRANSPORT", saved.c_str(), 1);
 }
 
-TEST(TransportFactory, ColocateLayoutAppliesToEnvSelectedBackendsOnly) {
-  const mp::NodeMap spread = mp::NodeMap::one_rank_per_node(4);
-  const char* old = std::getenv("STANCE_TCP_COLOCATE");
-  const std::string saved = old ? old : "";
-  ::unsetenv("STANCE_TCP_COLOCATE");
-  EXPECT_EQ(mp::resolve_transport_layout(TransportKind::kDefault, spread).nnodes(), 4);
-  ::setenv("STANCE_TCP_COLOCATE", "0", 1);
-  EXPECT_EQ(mp::resolve_transport_layout(TransportKind::kDefault, spread).nnodes(), 4);
-  ::setenv("STANCE_TCP_COLOCATE", "1", 1);
-  const mp::NodeMap colocated = mp::resolve_transport_layout(TransportKind::kDefault, spread);
-  EXPECT_EQ(colocated.nprocs(), 4);
-  EXPECT_EQ(colocated.nnodes(), 1);
-  // An explicitly requested backend keeps the layout it was given.
-  EXPECT_EQ(mp::resolve_transport_layout(TransportKind::kTcp, spread).nnodes(), 4);
-  ::setenv("STANCE_TCP_COLOCATE", "yes", 1);
-  EXPECT_THROW((void)mp::resolve_transport_layout(TransportKind::kDefault, spread),
-               std::invalid_argument);
-  if (old) {
-    ::setenv("STANCE_TCP_COLOCATE", saved.c_str(), 1);
-  } else {
-    ::unsetenv("STANCE_TCP_COLOCATE");
-  }
-}
-
 }  // namespace
 }  // namespace stance
