@@ -9,7 +9,9 @@
 //   --repeats=N    best-of-N timing (default 5)
 //   --out-dir=DIR  where the JSON lands (default .)
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <mutex>
@@ -17,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "exec/gather_scatter.hpp"
+#include "exec/irregular_loop.hpp"
 #include "exec/simd.hpp"
 #include "mp/mailbox.hpp"
 #include "graph/builders.hpp"
@@ -774,6 +777,58 @@ void bench_pack_unpack_host(bench::JsonReporter& report, bool small, int repeats
             << ")\n";
 }
 
+/// Host-seconds Figure-8 sweep on the spectral-ordered paper mesh: the
+/// executor's sliced four-chain kernel (IrregularLoop::iterate on a 1-rank
+/// cluster, so no ghosts and no messages) against the row-at-a-time
+/// IrregularLoop::reference_iterate. Both sides run on the same rank thread,
+/// interleaved, keeping the best of many short samples across `repeats`
+/// cluster runs: each run may land on a different core, and the per-core
+/// speed of a shared host varies more than either kernel. Both sides sweep
+/// the same values the same number of times, so they must end bit-identical.
+void bench_sweep_kernel_host(bench::JsonReporter& report, const graph::Csr& mesh,
+                             int repeats) {
+  const int sweeps = 5;
+  const auto nv = static_cast<std::size_t>(mesh.num_vertices());
+  const auto part = IntervalPartition::from_weights(mesh.num_vertices(),
+                                                    std::vector<double>{1.0});
+  mp::Cluster cluster(sim::MachineSpec::uniform(1));
+  sched::InspectorResult ir;
+  cluster.run([&](mp::Process& p) {
+    ir = sched::build_schedule(p, mesh, part, sched::BuildMethod::kSort2,
+                               sim::CpuCostModel::free());
+  });
+  std::vector<double> sliced(nv);
+  for (std::size_t v = 0; v < nv; ++v) sliced[v] = std::sin(static_cast<double>(v)) + 2.0;
+  std::vector<double> reference = sliced;
+
+  exec::IrregularLoop loop(ir.lgraph, ir.schedule);
+  double sliced_s = std::numeric_limits<double>::infinity();
+  double reference_s = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < repeats; ++r) {
+    cluster.run([&](mp::Process& p) {
+      sliced_s = std::min(sliced_s, best_of(10, [&] { loop.iterate(p, sliced, sweeps); }));
+      reference_s = std::min(reference_s, best_of(10, [&] {
+        exec::IrregularLoop::reference_iterate(mesh, reference, sweeps);
+      }));
+    });
+  }
+  if (std::memcmp(sliced.data(), reference.data(), nv * sizeof(double)) != 0) {
+    std::cerr << "sweep_kernel_host: byte-identity oracle FAILED\n";
+    std::exit(1);
+  }
+
+  report.entry("sweep_kernel_host")
+      .field("vertices", static_cast<long long>(nv))
+      .field("refs", static_cast<long long>(ir.lgraph.refs.size()))
+      .field("sweeps", static_cast<long long>(sweeps))
+      .field("reference_host_seconds", reference_s)
+      .field("sliced_host_seconds", sliced_s)
+      .field("host_speedup", reference_s / sliced_s);
+  std::cout << "sweep_kernel_host: reference " << reference_s << " s, sliced "
+            << sliced_s << " s per " << sweeps << " sweeps, speedup "
+            << reference_s / sliced_s << "x (oracle ok)\n";
+}
+
 /// The mutex+condvar mailbox the lock-free ring replaced (ISSUE 9), kept as
 /// the bench reference: one deque under one lock, every deposit takes the
 /// mutex and notifies, take scans for the oldest (source, tag) match.
@@ -919,6 +974,7 @@ int main(int argc, char** argv) {
   bench_adaptive_full_loop(schedule_report, small);
   bench_delta_pipeline(schedule_report, mesh);
   bench_pack_unpack_host(schedule_report, small, repeats);
+  bench_sweep_kernel_host(schedule_report, mesh, repeats);
   bench_mailbox_throughput_host(schedule_report, small, repeats);
   schedule_report.write(out_dir + "/BENCH_schedule.json");
 

@@ -1,6 +1,14 @@
 #include "exec/irregular_loop.hpp"
 
+#include <algorithm>
+
 #include "support/assert.hpp"
+
+// The sweep is byte-identical to reference_iterate() and its -0.0 pad slot
+// is an additive identity only under IEEE semantics.
+#if defined(__FAST_MATH__)
+#error "irregular_loop.cpp must not be built with -ffast-math"
+#endif
 
 namespace stance::exec {
 
@@ -10,11 +18,10 @@ IrregularLoop::IrregularLoop(const sched::LocalizedGraph& lgraph,
     : lgraph_(&lgraph),
       sched_(&sched),
       loop_costs_(loop_costs),
-      cpu_costs_(cpu_costs),
-      ghost_(static_cast<std::size_t>(lgraph.nghost)),
-      t_(static_cast<std::size_t>(lgraph.nlocal)) {
+      cpu_costs_(cpu_costs) {
   STANCE_REQUIRE(lgraph.nlocal == sched.nlocal && lgraph.nghost == sched.nghost,
                  "IrregularLoop: schedule and localized graph disagree");
+  build_slices();
   recompute_work();
 }
 
@@ -30,10 +37,38 @@ void IrregularLoop::rebind(const sched::LocalizedGraph& lgraph,
   cfg_.coalesce_plan = nullptr;
   // Work multipliers were sized and indexed for the old ownership.
   vertex_work_.clear();
-  ghost_.resize(static_cast<std::size_t>(lgraph.nghost));
-  t_.resize(static_cast<std::size_t>(lgraph.nlocal));
+  build_slices();
   rebound_ = true;
   recompute_work();
+}
+
+void IrregularLoop::build_slices() {
+  const auto nlocal = static_cast<std::size_t>(lgraph_->nlocal);
+  const auto pad = nlocal + static_cast<std::size_t>(lgraph_->nghost);
+  const std::size_t groups = (nlocal + 3) / 4;
+  slice_width_.resize(groups);
+  std::size_t padded = 0;
+  for (std::size_t q = 0; q < groups; ++q) {
+    std::size_t width = 0;
+    for (std::size_t i = 4 * q; i < std::min(4 * q + 4, nlocal); ++i) {
+      width = std::max(width, lgraph_->refs_of(static_cast<sched::Vertex>(i)).size());
+    }
+    slice_width_[q] = static_cast<std::uint32_t>(width);
+    padded += 4 * width;
+  }
+  slice_refs_.assign(padded, static_cast<std::uint32_t>(pad));
+  std::size_t base = 0;
+  for (std::size_t q = 0; q < groups; ++q) {
+    for (std::size_t j = 0; j < 4 && 4 * q + j < nlocal; ++j) {
+      const auto refs = lgraph_->refs_of(static_cast<sched::Vertex>(4 * q + j));
+      for (std::size_t k = 0; k < refs.size(); ++k) {
+        slice_refs_[base + 4 * k + j] = static_cast<std::uint32_t>(refs[k]);
+      }
+    }
+    base += 4 * static_cast<std::size_t>(slice_width_[q]);
+  }
+  yg_.resize(pad + 1);
+  yg_[pad] = -0.0;
 }
 
 void IrregularLoop::set_vertex_work(std::vector<double> multipliers) {
@@ -63,25 +98,39 @@ void IrregularLoop::iterate(mp::Process& p, std::span<double> y, int iterations)
                  "IrregularLoop: y size mismatch");
   STANCE_REQUIRE(iterations >= 0, "IrregularLoop: negative iteration count");
   const auto nlocal = static_cast<std::size_t>(lgraph_->nlocal);
+  const auto& offsets = lgraph_->offsets;
+  const std::span<double> ghosts(yg_.data() + nlocal,
+                                 static_cast<std::size_t>(lgraph_->nghost));
+  // Writes y[i] = sum / degree; degree-0 vertices keep their value.
+  const auto store = [&](std::size_t i, double sum) {
+    const auto deg = offsets[i + 1] - offsets[i];
+    if (deg > 0) y[i] = sum / static_cast<double>(deg);
+  };
   for (int it = 0; it < iterations; ++it) {
     if (plan_ != nullptr) {
-      gather_coalesced<double>(p, *sched_, *plan_, y, ghost_, ws_, cpu_costs_,
+      gather_coalesced<double>(p, *sched_, *plan_, y, ghosts, ws_, cpu_costs_,
                                kLoopGatherTag);
     } else {
-      gather<double>(p, *sched_, y, ghost_, ws_, cpu_costs_, kLoopGatherTag);
+      gather<double>(p, *sched_, y, ghosts, ws_, cpu_costs_, kLoopGatherTag);
     }
-    for (std::size_t i = 0; i < nlocal; ++i) {
-      double acc = 0.0;
-      for (const sched::Vertex r : lgraph_->refs_of(static_cast<sched::Vertex>(i))) {
-        acc += static_cast<std::size_t>(r) < nlocal
-                   ? y[static_cast<std::size_t>(r)]
-                   : ghost_[static_cast<std::size_t>(r) - nlocal];
+    std::copy(y.begin(), y.end(), yg_.begin());
+    // Four independent chains, one per vertex of the group; each still adds
+    // its refs in CSR order from 0.0, and padded lanes add -0.0 (identity).
+    // Reads come from the yg_ snapshot, so y can be updated in place.
+    const double* yg = yg_.data();
+    const std::uint32_t* col = slice_refs_.data();
+    for (std::size_t q = 0, i = 0; i < nlocal; ++q, i += 4) {
+      double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+      for (std::uint32_t k = slice_width_[q]; k > 0; --k, col += 4) {
+        a0 += yg[col[0]];
+        a1 += yg[col[1]];
+        a2 += yg[col[2]];
+        a3 += yg[col[3]];
       }
-      t_[i] = acc;
-    }
-    for (std::size_t i = 0; i < nlocal; ++i) {
-      const auto deg = lgraph_->refs_of(static_cast<sched::Vertex>(i)).size();
-      if (deg > 0) y[i] = t_[i] / static_cast<double>(deg);
+      store(i, a0);
+      if (i + 1 < nlocal) store(i + 1, a1);
+      if (i + 2 < nlocal) store(i + 2, a2);
+      if (i + 3 < nlocal) store(i + 3, a3);
     }
     p.compute(work_per_iter_);
   }

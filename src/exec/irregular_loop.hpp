@@ -8,8 +8,22 @@
 // values, and replaces y. The arithmetic is performed for real — results are
 // bit-comparable with reference_iterate() — while the virtual clock is
 // charged per vertex and per reference through LoopCostModel.
+//
+// Sweep kernel: a vertex's sum is a serial add chain (its order is part of
+// the byte-identity contract), so the loop is latency-bound. The executor
+// runs four vertices' chains side by side over a sliced copy of the
+// references (sliced ELLPACK, SELL-4-1, after Kreutzer et al. 2014): refs are
+// grouped four vertices at a time, stored column-major within a group
+// (entry k of vertex 4q+j at base_q + 4k + j), and each group is padded to
+// its widest vertex with the index of a pad slot holding -0.0. Owned values,
+// ghosts and the pad live in one buffer, so the kernel needs no ghost/local
+// branch and no lane masks: x + (-0.0) == x bit for bit for every x
+// (including ±0, ±inf and NaN) — in the default round-to-nearest mode only.
+// Under FE_DOWNWARD, +0.0 + -0.0 is -0.0, so the sweep must not run with a
+// non-default rounding mode.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -86,9 +100,10 @@ class IrregularLoop {
   /// without tearing down the warmed workspace — the delta pipeline's
   /// executor step. Drops the installed coalesce plan (stale by definition;
   /// install the patched one via configure()) and the per-vertex work
-  /// multipliers (sized for the old ownership), and resizes the value
-  /// buffers. Follow with configure() — with cfg.remap_delta set for
-  /// delta-sized re-prewarming, without for a conservative full one.
+  /// multipliers (sized for the old ownership), and rebuilds the sliced
+  /// refs and the value buffer. Follow with configure() — with
+  /// cfg.remap_delta set for delta-sized re-prewarming, without for a
+  /// conservative full one.
   void rebind(const sched::LocalizedGraph& lgraph, const sched::CommSchedule& sched);
 
   [[nodiscard]] const sched::LocalizedGraph& lgraph() const noexcept { return *lgraph_; }
@@ -109,8 +124,13 @@ class IrregularLoop {
   sim::CpuCostModel cpu_costs_;
   double work_per_iter_ = 0.0;
   std::vector<double> vertex_work_;  ///< empty = uniform
-  std::vector<double> ghost_;
-  std::vector<double> t_;
+  /// Sliced refs: groups of four vertices, column-major, padded to the
+  /// group's widest vertex with the pad index nlocal + nghost.
+  std::vector<std::uint32_t> slice_refs_;
+  std::vector<std::uint32_t> slice_width_;  ///< per group: padded width
+  /// Sweep values: owned y snapshot [0, nlocal), ghosts [nlocal,
+  /// nlocal + nghost), then the -0.0 pad slot.
+  std::vector<double> yg_;
   ExecWorkspace ws_;  ///< persistent pack/unpack buffers (zero-alloc iterate)
   ExecConfig cfg_;    ///< last applied configuration
   const sched::CoalescePlan* plan_ = nullptr;  ///< optional node-aware framing
@@ -124,6 +144,7 @@ class IrregularLoop {
   }
 
   void recompute_work();
+  void build_slices();  ///< slice_refs_/slice_width_/yg_ from *lgraph_
 };
 
 }  // namespace stance::exec

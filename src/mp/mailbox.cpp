@@ -37,9 +37,18 @@ void Mailbox::drain_locked() {
     if (e.epoch < floor) return;  // stale pre-recovery traffic
     Stash& s = stash_[stash_key(e.msg.source, e.msg.tag)];
     if (s.q.capacity() == 0) {
-      // First message on this key: size the bucket past any schedule's
-      // concurrent depth so steady-state appends never grow it.
-      s.q.reserve(BufferPool::kMaxPooled);
+      // First message on this key: a small bucket, grown on demand. Buckets
+      // keep their capacity across clear()/fence()/purge, so growth to the
+      // key's concurrent depth happens during warm-up only and the steady
+      // state never reallocates.
+      s.q.reserve(kInitialBucket);
+    } else if (s.q.size() == s.q.capacity() && 2 * s.head >= s.q.size()) {
+      // Full, and at least half of it is consumed prefix: reuse that space
+      // instead of growing. A sender that stays ahead keeps the bucket from
+      // ever emptying; this stops it growing after warm-up. Moving at most
+      // half the capacity per compaction keeps appends amortized O(1).
+      s.q.erase(s.q.begin(), s.q.begin() + static_cast<std::ptrdiff_t>(s.head));
+      s.head = 0;
     }
     // Ring and overflow are each ticket-ascending, but interleave (a sender
     // that claimed a ticket can land in either path, in either order), so
@@ -74,11 +83,6 @@ std::optional<RawMessage> Mailbox::match_locked(Rank source, Tag tag) {
   stashed_.fetch_sub(1, std::memory_order_relaxed);
   if (s.head == s.q.size()) {
     s.q.clear();
-    s.head = 0;
-  } else if (s.head >= 1024 && s.head * 2 >= s.q.size()) {
-    // The dead prefix dominates: compact (capacity is kept, so the steady
-    // state stays allocation-free).
-    s.q.erase(s.q.begin(), s.q.begin() + static_cast<std::ptrdiff_t>(s.head));
     s.head = 0;
   }
   return msg;

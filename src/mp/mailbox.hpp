@@ -17,10 +17,12 @@
 // contract. The consumer drains both into a private stash keyed by
 // (source, tag) — matching is a hash lookup plus a front pop, O(1) even
 // under a deep backlog — and a global deposit ticket restores per-key
-// deposit order when ring and overflow interleave. Blocking takes park on
-// a condvar slow path armed
-// by a Dekker-style sleeping flag (producers only notify when a consumer
-// is actually asleep). Takes serialize on a consumer mutex, so several
+// deposit order when ring and overflow interleave. A key's bucket starts
+// small and grows to the key's concurrent depth during warm-up; its
+// capacity survives clear()/fence()/reset(), so the steady state never
+// reallocates it. Blocking takes park on a condvar slow path armed by a
+// Dekker-style sleeping flag (producers only notify when a consumer is
+// actually asleep). Takes serialize on a consumer mutex, so several
 // threads may block in take() concurrently and shutdown() releases all of
 // them — but clear()/fence()/reset() also need that mutex and must not be
 // called while a taker is blocked (their call sites — the consumer thread
@@ -174,13 +176,16 @@ class Mailbox {
 
   /// One (source, tag) key's drained, unmatched messages in deposit order.
   /// Live entries are [head, q.size()); the front pops by advancing `head`
-  /// (no O(backlog) shift per take) and the dead prefix is compacted once
-  /// it dominates, preserving capacity — steady state stays allocation-free
-  /// after warmup. Slots before the head are moved-from.
+  /// (no O(backlog) shift per take) and an append to a full bucket whose
+  /// dead prefix is at least half of it compacts instead of growing,
+  /// preserving capacity — steady state stays allocation-free after warmup.
+  /// Slots before the head are moved-from.
   struct Stash {
     std::vector<Entry> q;
     std::size_t head = 0;
   };
+  /// A new key's initial bucket capacity; deeper keys grow it on demand.
+  static constexpr std::size_t kInitialBucket = 8;
 
   static std::uint64_t stash_key(Rank source, Tag tag) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(source))

@@ -2,7 +2,11 @@
 // sequential reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 
 #include "exec/gather_scatter.hpp"
 #include "exec/irregular_loop.hpp"
@@ -167,6 +171,134 @@ TEST(LoopVsReferenceSkewed, UnevenWeightsStillExact) {
   run_parallel_loop(g, {0.55, 0.05, 0.25, 0.15}, 10, parallel);
   const auto reference = run_reference_loop(g, 10);
   test::expect_vectors_eq(parallel, reference);
+}
+
+// --- randomized bit-identity of the sliced sweep kernel ---------------------
+
+/// Four ranks whose owned counts cover every nlocal % 4 residue.
+std::vector<graph::Vertex> residue_sizes(Rng& rng) {
+  std::vector<graph::Vertex> sizes(4);
+  for (std::size_t r = 0; r < 4; ++r) {
+    sizes[r] = static_cast<graph::Vertex>(4 * rng.range(6, 12)) +
+               static_cast<graph::Vertex>(r);
+  }
+  return sizes;
+}
+
+/// Seeded random graph over `part`'s vertices with the kernel's edge cases:
+/// short-range random edges, a hub of degree >= 40 on rank 1, rank 0's first
+/// vertex referencing only rank 3's vertices (all refs ghosts), and a few
+/// isolated (degree-0) vertices on rank 2.
+Csr sweep_edge_case_graph(const IntervalPartition& part, Rng& rng) {
+  const graph::Vertex n = part.first(3) + part.size(3);
+  const graph::Vertex all_ghost = 0;
+  const graph::Vertex hub = part.first(1) + 1;
+  std::vector<bool> isolated(static_cast<std::size_t>(n), false);
+  for (int i = 0; i < 3; ++i) {
+    isolated[static_cast<std::size_t>(rng.range(part.first(2), part.first(3) - 1))] = true;
+  }
+  const auto usable = [&](graph::Vertex v) {
+    return v != all_ghost && !isolated[static_cast<std::size_t>(v)];
+  };
+  std::vector<graph::Edge> edges;
+  for (graph::Vertex v = 0; v < n; ++v) {
+    for (std::int64_t e = rng.range(0, 4); e > 0; --e) {
+      const auto u = static_cast<graph::Vertex>(v + rng.range(1, 9));
+      if (u < n && usable(v) && usable(u)) edges.emplace_back(v, u);
+    }
+  }
+  for (int e = 0; e < 5; ++e) {
+    edges.emplace_back(all_ghost,
+                       static_cast<graph::Vertex>(rng.range(part.first(3), n - 1)));
+  }
+  std::vector<bool> spoke(static_cast<std::size_t>(n), false);
+  for (int spokes = 0; spokes < 45;) {
+    const auto u = static_cast<graph::Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+    if (u == hub || !usable(u) || spoke[static_cast<std::size_t>(u)]) continue;
+    spoke[static_cast<std::size_t>(u)] = true;
+    edges.emplace_back(hub, u);
+    ++spokes;
+  }
+  Csr g = Csr::from_edges(n, edges);
+  EXPECT_GE(g.degree(hub), 40);
+  return g;
+}
+
+/// Owned values drawn from ordinary numbers and IEEE edge values: signed
+/// zeros, infinities, quiet NaN and subnormals.
+std::vector<double> edge_case_values(std::size_t n, Rng& rng) {
+  const double specials[] = {-0.0,
+                             0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -3.0 * std::numeric_limits<double>::denorm_min(),
+                             1e-310};
+  std::vector<double> y(n);
+  for (auto& v : y) {
+    v = rng.below(8) == 0 ? specials[rng.below(std::size(specials))]
+                          : rng.uniform(-4.0, 4.0);
+  }
+  return y;
+}
+
+TEST(IrregularLoopRandomized, ByteIdenticalToReferenceAcrossRebind) {
+  constexpr int kIters = 3;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    auto sizes = residue_sizes(rng);
+    const auto part = IntervalPartition::from_sizes(sizes);
+    const Csr g = sweep_edge_case_graph(part, rng);
+    std::rotate(sizes.begin(), sizes.begin() + 1, sizes.end());
+    const auto rebound_part = IntervalPartition::from_sizes(sizes);
+    const auto schedules = build_all_schedules(g, part);
+    const auto rebound_schedules = build_all_schedules(g, rebound_part);
+    const auto& lg0 = schedules[0].lgraph;
+    ASSERT_GE(lg0.refs_of(0).size(), 1u);
+    for (const sched::Vertex r : lg0.refs_of(0)) ASSERT_GE(r, lg0.nlocal);
+    graph::Vertex isolated = 0;
+    for (graph::Vertex v = 0; v < g.num_vertices(); ++v) isolated += g.degree(v) == 0;
+    ASSERT_GE(isolated, 1);
+
+    mp::Cluster cluster(sim::MachineSpec::uniform(4));
+    std::vector<std::unique_ptr<IrregularLoop>> loops(4);
+    for (std::size_t r = 0; r < 4; ++r) {
+      loops[r] = std::make_unique<IrregularLoop>(schedules[r].lgraph, schedules[r].schedule);
+    }
+    // One pass on the current binding: distribute `y0`, sweep, collect, and
+    // memcmp against the sequential reference.
+    const auto check = [&](const IntervalPartition& p_of, const char* phase) {
+      const auto y0 = edge_case_values(static_cast<std::size_t>(g.num_vertices()), rng);
+      std::vector<double> out(y0.size());
+      cluster.run([&](mp::Process& p) {
+        const auto r = static_cast<std::size_t>(p.rank());
+        std::vector<double> y(static_cast<std::size_t>(p_of.size(p.rank())));
+        for (std::size_t i = 0; i < y.size(); ++i) {
+          y[i] = y0[static_cast<std::size_t>(
+              p_of.to_global(p.rank(), static_cast<graph::Vertex>(i)))];
+        }
+        loops[r]->iterate(p, y, kIters);
+        for (std::size_t i = 0; i < y.size(); ++i) {
+          out[static_cast<std::size_t>(
+              p_of.to_global(p.rank(), static_cast<graph::Vertex>(i)))] = y[i];
+        }
+      });
+      auto reference = y0;
+      IrregularLoop::reference_iterate(g, reference, kIters);
+      for (std::size_t v = 0; v < out.size(); ++v) {
+        ASSERT_EQ(std::memcmp(&out[v], &reference[v], sizeof(double)), 0)
+            << phase << " seed " << seed << " vertex " << v << ": " << out[v]
+            << " vs " << reference[v];
+      }
+    };
+    check(part, "fresh");
+    for (std::size_t r = 0; r < 4; ++r) {
+      loops[r]->rebind(rebound_schedules[r].lgraph, rebound_schedules[r].schedule);
+      loops[r]->configure(loops[r]->config());
+    }
+    check(rebound_part, "rebound");
+  }
 }
 
 TEST(IrregularLoop, ValuesStayBoundedByConvexity) {

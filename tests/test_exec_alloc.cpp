@@ -19,6 +19,8 @@
 #include "exec/irregular_loop.hpp"
 #include "graph/builders.hpp"
 #include "mp/cluster.hpp"
+#include "mp/mailbox.hpp"
+#include "partition/remap_delta.hpp"
 #include "test_util.hpp"
 
 // The replacement operators below deliberately pair malloc with free; once
@@ -226,13 +228,49 @@ TEST(ExecAlloc, IrregularLoopSteadyStateIsAllocationFree) {
     y[r].assign(static_cast<std::size_t>(results[r].schedule.nlocal), 1.0);
   }
 
-  const auto counts = measure_steady_state(cluster, [&](mp::Process& p) {
+  const auto sweep = [&](mp::Process& p) {
     const auto r = static_cast<std::size_t>(p.rank());
     loops[r]->iterate(p, y[r], 1);
-  });
+  };
+  const auto counts = measure_steady_state(cluster, sweep);
   for (std::size_t r = 0; r < counts.size(); ++r) {
     EXPECT_EQ(counts[r], 0u) << "rank " << r << " allocated in steady state";
   }
+
+  // The delta pipeline's executor step: rebind to a new partition's
+  // schedule, configure with the driving delta, warm up, then count again.
+  // The sliced refs are rebuilt in rebind(), never lazily inside iterate.
+  const auto moved = test::random_partition(g.num_vertices(), 3, rng);
+  const auto delta = partition::RemapDelta::drift(part, moved);
+  const auto rebound = test::build_all_schedules(g, moved);
+  for (std::size_t r = 0; r < 3; ++r) {
+    loops[r]->rebind(rebound[r].lgraph, rebound[r].schedule);
+    exec::ExecConfig cfg = loops[r]->config();
+    cfg.remap_delta = &delta;
+    loops[r]->configure(cfg);
+    y[r].assign(static_cast<std::size_t>(rebound[r].schedule.nlocal), 1.0);
+  }
+  const auto rebound_counts = measure_steady_state(cluster, sweep);
+  for (std::size_t r = 0; r < rebound_counts.size(); ++r) {
+    EXPECT_EQ(rebound_counts[r], 0u) << "rank " << r << " allocated after rebind";
+  }
+}
+
+TEST(ExecAlloc, MailboxBucketThatNeverEmptiesStopsGrowing) {
+  // A sender that stays one message ahead of its receiver keeps the key's
+  // bucket from ever emptying. After warm-up the bucket must reuse its
+  // consumed prefix rather than grow on every append.
+  constexpr mp::Tag kTag = 5;
+  mp::Mailbox box;
+  box.deposit(mp::RawMessage{0, kTag, {}, 0.0});
+  const auto step = [&] {
+    box.deposit(mp::RawMessage{0, kTag, {}, 0.0});
+    (void)box.take(0, kTag);
+  };
+  for (int it = 0; it < kWarmup; ++it) step();
+  const std::size_t before = t_alloc_count;
+  for (int it = 0; it < 4096; ++it) step();
+  EXPECT_EQ(t_alloc_count - before, 0u);
 }
 
 TEST(ExecAlloc, EdgeSweepSteadyStateIsAllocationFree) {
