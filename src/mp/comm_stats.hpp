@@ -1,8 +1,10 @@
 // Per-process communication/computation accounting.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace stance::mp {
@@ -106,42 +108,24 @@ struct CommStats {
 
   /// Frame traffic recorded since the previous take_frame_window() call (or
   /// since construction/reset), then re-arm the window. Cumulative totals
-  /// are unaffected.
+  /// are unaffected. Every window value is cumulative − mark, never a
+  /// separately summed window (which would round differently); pairs silent
+  /// in the window are dropped.
   FrameWindow take_frame_window() {
-    FrameWindow w;
-    w.frames_sent = frames_sent - frames_sent_mark_;
-    w.frame_bytes_sent = frame_bytes_sent - frame_bytes_mark_;
-    for (const auto& pf : pair_frames) {
-      PairFrames delta = pf;
-      for (const auto& mark : pair_frames_mark_) {
-        if (mark.dest_node != pf.dest_node) continue;
-        delta.frames -= mark.frames;
-        delta.bytes -= mark.bytes;
-        delta.seconds -= mark.seconds;
-        break;
-      }
-      if (delta.frames > 0) w.pair_frames.push_back(delta);
-    }
-    w.pieces_forwarded = pieces_forwarded - pieces_forwarded_mark_;
-    w.forward_bytes = forward_bytes - forward_bytes_mark_;
-    for (const auto& pf : pair_forwards) {
-      PairForwards delta = pf;
-      for (const auto& mark : pair_forwards_mark_) {
-        if (mark.src_node != pf.src_node) continue;
-        delta.pieces -= mark.pieces;
-        delta.bytes -= mark.bytes;
-        delta.seconds -= mark.seconds;
-        break;
-      }
-      if (delta.pieces > 0) w.pair_forwards.push_back(delta);
-    }
-    frames_sent_mark_ = frames_sent;
-    frame_bytes_mark_ = frame_bytes_sent;
-    pair_frames_mark_ = pair_frames;
-    pieces_forwarded_mark_ = pieces_forwarded;
-    forward_bytes_mark_ = forward_bytes;
-    pair_forwards_mark_ = pair_forwards;
-    return w;
+    FrameWindow now{frames_sent,      frame_bytes_sent, pair_frames,
+                    pieces_forwarded, forward_bytes,    pair_forwards};
+    const FrameWindow& mark = frame_mark_;
+    FrameWindow window{
+        now.frames_sent - mark.frames_sent,
+        now.frame_bytes_sent - mark.frame_bytes_sent,
+        pair_delta<&PairFrames::dest_node, &PairFrames::frames>(now.pair_frames,
+                                                              mark.pair_frames),
+        now.pieces_forwarded - mark.pieces_forwarded,
+        now.forward_bytes - mark.forward_bytes,
+        pair_delta<&PairForwards::src_node, &PairForwards::pieces>(now.pair_forwards,
+                                                                  mark.pair_forwards)};
+    frame_mark_ = std::move(now);
+    return window;
   }
 
   /// Virtual-time breakdown: seconds spent computing vs. communicating
@@ -206,14 +190,27 @@ struct CommStats {
     return *it;
   }
 
-  /// Window marks of take_frame_window(): cumulative values at the last
-  /// snapshot.
-  std::uint64_t frames_sent_mark_ = 0;
-  std::uint64_t frame_bytes_mark_ = 0;
-  std::vector<PairFrames> pair_frames_mark_;
-  std::uint64_t pieces_forwarded_mark_ = 0;
-  std::uint64_t forward_bytes_mark_ = 0;
-  std::vector<PairForwards> pair_forwards_mark_;
+  /// Per-pair now − mark, keyed by `Key`; pairs whose `Count` did not move
+  /// are dropped.
+  template <auto Key, auto Count, class Pair>
+  static std::vector<Pair> pair_delta(const std::vector<Pair>& now,
+                                      const std::vector<Pair>& mark) {
+    std::vector<Pair> out;
+    for (Pair delta : now) {
+      const auto it = std::find_if(mark.begin(), mark.end(),
+                                   [&](const Pair& m) { return m.*Key == delta.*Key; });
+      if (it != mark.end()) {
+        delta.*Count -= (*it).*Count;
+        delta.bytes -= it->bytes;
+        delta.seconds -= it->seconds;
+      }
+      if (delta.*Count > 0) out.push_back(delta);
+    }
+    return out;
+  }
+
+  /// Frame counters at the last take_frame_window() (cumulative values).
+  FrameWindow frame_mark_;
 };
 
 }  // namespace stance::mp

@@ -15,42 +15,41 @@ using mp::Rank;
 
 /// Wire record of the plan exchange — the same PeerCount the plan retains.
 /// Outbound reports read "I send `count` elements to `rank`", inbound ones
-/// "I receive `count` elements from `rank`"; patch diffs reuse the type with
+/// "I receive `count` elements from `rank`"; report diffs reuse the type with
 /// count 0 as the removal tombstone (real reports never carry 0 — the base
 /// schedule's lists are compacted non-empty).
 using PeerCount = DirectionPlan::PeerCount;
 using Report = DirectionPlan::Report;
 static_assert(mp::WireType<PeerCount>);
 
-constexpr mp::Tag kPlanGatherOutTag = 0x7d000001;
-constexpr mp::Tag kPlanGatherInTag = 0x7d000002;
-constexpr mp::Tag kPlanScatterOutTag = 0x7d000003;
-constexpr mp::Tag kPlanScatterInTag = 0x7d000004;
-constexpr mp::Tag kPatchGatherOutTag = 0x7d000005;
-constexpr mp::Tag kPatchGatherInTag = 0x7d000006;
-constexpr mp::Tag kPatchScatterOutTag = 0x7d000007;
-constexpr mp::Tag kPatchScatterInTag = 0x7d000008;
+constexpr mp::Tag kGatherOutTag = 0x7d000001;
+constexpr mp::Tag kGatherInTag = 0x7d000002;
+constexpr mp::Tag kScatterOutTag = 0x7d000003;
+constexpr mp::Tag kScatterInTag = 0x7d000004;
 
 /// Delegate -> co-resident replies carrying the adaptive framing verdicts
 /// (the framed node ids); reports and replies share a phase but flow in
 /// opposite directions, so a derived tag keeps the matching unambiguous.
 constexpr mp::Tag verdict_tag(mp::Tag report_tag) { return report_tag ^ 0x00000010; }
 
-/// Aggregate one node pair's (source, target, count) entries into the
-/// symmetric traffic summary frame_profitable prices. `src_delegate` /
-/// `dst_delegate` are the pair's endpoints; entries may arrive in any order
-/// and sources/targets may repeat.
-struct PairEntry {
+/// One (source, target, count) piece of a node pair's traffic. src_index is
+/// the base-source index of an inbound piece the delegate receives itself,
+/// kNoIndex otherwise.
+struct Piece {
   Rank source = -1;
   Rank target = -1;
   std::uint32_t count = 0;
+  std::uint32_t src_index = DirectionPlan::kNoIndex;
 };
 
-PairTraffic summarize_pair(const std::vector<PairEntry>& entries, Rank src_delegate,
+/// Aggregate one node pair's pieces into the symmetric traffic summary
+/// frame_profitable prices. `src_delegate` / `dst_delegate` are the pair's
+/// endpoints; pieces may arrive in any order and sources/targets may repeat.
+PairTraffic summarize_pair(const std::vector<Piece>& pieces, Rank src_delegate,
                            Rank dst_delegate) {
   PairTraffic t;
   std::vector<Rank> bundle_srcs;
-  for (const auto& e : entries) {
+  for (const auto& e : pieces) {
     ++t.messages;
     t.elems += e.count;
     if (e.source == src_delegate) {
@@ -82,24 +81,23 @@ bool demotes(const std::vector<DirectionPlan::FramePart>& parts, Rank src_delega
 }
 
 /// Frame or demote one node pair, from measurement when a table is
-/// supplied. Both endpoint delegates call this with identical inputs
-/// (the summary is the same multiset, the table is allgathered), so the
-/// verdict stays consistent across the pair.
+/// supplied (a node the table does not cover prices at slowdown 1.0, the
+/// a-priori estimate). Both endpoint delegates call this with identical
+/// inputs (the summary is the same multiset, the table is allgathered), so
+/// the verdict stays consistent across the pair.
 bool pair_framed(const PairTraffic& t, const sim::NetworkModel& net,
                  const CoalesceOptions& opts, int src_node, int dst_node) {
-  if (opts.measured != nullptr && !opts.measured->empty()) {
-    return frame_profitable(t, net, opts.bytes_per_elem,
-                            opts.measured->node_slowdown(src_node, net),
-                            opts.measured->dst_node_slowdown(dst_node, net));
-  }
-  return frame_profitable(t, net, opts.bytes_per_elem);
+  static const MeasuredPairCosts kNoMeasurements;
+  const auto& m = opts.measured != nullptr ? *opts.measured : kNoMeasurements;
+  return frame_profitable(t, net, opts.bytes_per_elem, m.node_slowdown(src_node, net),
+                          m.dst_node_slowdown(dst_node, net));
 }
 
 // ---------------------------------------------------------------------------
-// Shared classification and assembly, used verbatim by build_direction and
-// patch_direction: given the same reports and framing verdicts, both paths
-// run the exact same code, which is what makes a patched plan byte-identical
-// to a from-scratch build by construction.
+// Classification and assembly. Given the same reports and framing verdicts,
+// a fresh plan and a patched one run the exact same code, which is what
+// makes a patched plan byte-identical to a from-scratch build by
+// construction.
 
 void demote_to_direct(DirectionPlan& d, const std::vector<std::size_t>& out_counts,
                       std::uint32_t i) {
@@ -149,16 +147,15 @@ void assemble_outbound_nondelegate(
 
 /// One node pair's traffic per destination node, from the delegate's
 /// retained reports (map iteration is dest-node ascending).
-std::map<int, std::vector<PairEntry>> group_pairs(const NodeMap& nodes,
-                                                  const std::vector<Report>& reports) {
-  std::map<int, std::vector<PairEntry>> pair_entries;
+std::map<int, std::vector<Piece>> group_pairs(const NodeMap& nodes,
+                                              const std::vector<Report>& reports) {
+  std::map<int, std::vector<Piece>> pair_pieces;
   for (const auto& report : reports) {
     for (const auto& e : report.entries) {
-      pair_entries[nodes.node_of(e.rank)].push_back(
-          PairEntry{report.rank, e.rank, e.count});
+      pair_pieces[nodes.node_of(e.rank)].push_back(Piece{report.rank, e.rank, e.count});
     }
   }
-  return pair_entries;
+  return pair_pieces;
 }
 
 /// Delegate outbound assembly: frame recipes from the co-residents' reports
@@ -254,17 +251,9 @@ void apply_inbound_verdicts_nondelegate(DirectionPlan& d, const NodeMap& nodes,
   }
 }
 
-/// The node's inbound pieces as (source, target, count, src_index), grouped
-/// per source node in global (source, target) order. src_index is only
-/// meaningful for the delegate's own pieces, whose report entries align with
-/// `own_idx` by construction.
-struct Piece {
-  Rank source;
-  Rank target;
-  std::uint32_t count;
-  std::uint32_t src_index;
-};
-
+/// The node's inbound pieces grouped per source node in global (source,
+/// target) order. src_index is only meaningful for the delegate's own
+/// pieces, whose report entries align with `own_idx` by construction.
 std::map<int, std::vector<Piece>> group_pieces(const NodeMap& nodes, Rank me,
                                                const std::vector<Report>& reports,
                                                const std::vector<std::uint32_t>& own_idx) {
@@ -348,7 +337,7 @@ void assemble_inbound_delegate(DirectionPlan& d, const NodeMap& nodes, Rank me,
   }
 }
 
-/// Direct and forwarded inbound messages (every rank, both paths).
+/// Direct and forwarded inbound messages (every rank).
 void finish_inbound_sizing(DirectionPlan& d, const std::vector<std::size_t>& in_counts) {
   for (std::size_t j = 0; j < in_counts.size(); ++j) {
     if (d.source_via[j] == DirectionPlan::Via::kFrame) continue;  // counted above
@@ -359,129 +348,11 @@ void finish_inbound_sizing(DirectionPlan& d, const std::vector<std::size_t>& in_
 }
 
 // ---------------------------------------------------------------------------
-
-/// Build one direction of the plan. `peers`/`out_counts` describe this
-/// rank's outbound messages in the base schedule, `sources`/`in_counts` its
-/// inbound ones. Collective across the rank's node: everyone reports its
-/// off-node traffic to the delegate, which derives the frame layouts (and,
-/// under the adaptive policy, prices each node pair and replies the framed
-/// node ids to its co-residents). Delegates retain the reports and verdicts
-/// in the plan, which is what patch_direction later splices.
-DirectionPlan build_direction(mp::Process& p, const NodeMap& nodes,
-                              const std::vector<Rank>& peers,
-                              const std::vector<std::size_t>& out_counts,
-                              const std::vector<Rank>& sources,
-                              const std::vector<std::size_t>& in_counts,
-                              mp::Tag out_tag, mp::Tag in_tag,
-                              const sim::CpuCostModel& costs,
-                              const CoalesceOptions& opts) {
-  const Rank me = p.rank();
-  const int my_node = nodes.node_of(me);
-  const Rank delegate = nodes.delegate_of(my_node);
-  const bool adaptive = opts.policy == CoalescePolicy::kAdaptive;
-  DirectionPlan d;
-
-  // --- outbound: direct for co-residents; everything off-node is grouped
-  // by destination node, as bundles (non-delegate) or frame parts.
-  std::map<int, std::vector<std::uint32_t>> off_node;  // dest node -> peer indices
-  std::vector<PeerCount> out_report;                   // off-node (target, count), asc
-  classify_outbound(nodes, my_node, peers, out_counts, d, off_node, out_report);
-
-  if (me != delegate) {
-    p.send(delegate, out_tag, std::span<const PeerCount>(out_report));
-    // Adaptive: the delegate replies which destination nodes stay framed;
-    // traffic to the demoted ones reverts to direct wire messages.
-    std::vector<std::int32_t> framed;  // ascending node ids
-    if (adaptive) framed = p.recv<std::int32_t>(delegate, verdict_tag(out_tag));
-    assemble_outbound_nondelegate(d, off_node, out_counts, framed, adaptive);
-  } else {
-    // Collect every co-resident's report first (the framing decision needs
-    // the whole node pair's traffic), price each destination node, reply the
-    // verdicts, then assemble the surviving frame recipes.
-    for (const Rank q : nodes.ranks_on(my_node)) {
-      if (q == me) {
-        d.out_reports.push_back(Report{me, out_report});
-      } else {
-        d.out_reports.push_back(Report{q, p.recv<PeerCount>(q, out_tag)});
-      }
-    }
-    const auto pair_entries = group_pairs(nodes, d.out_reports);
-    for (const auto& [dest_node, entries] : pair_entries) {
-      if (!adaptive ||
-          pair_framed(summarize_pair(entries, me, nodes.delegate_of(dest_node)),
-                      p.net(), opts, my_node, dest_node)) {
-        d.framed_out.push_back(dest_node);  // ascending (map iterates in key order)
-      }
-    }
-    if (adaptive) {
-      for (const Rank q : nodes.ranks_on(my_node)) {
-        if (q != me) p.send(q, verdict_tag(out_tag), d.framed_out);
-      }
-    }
-    assemble_outbound_delegate(d, nodes, me, peers, out_counts, off_node,
-                               d.out_reports, d.framed_out);
-  }
-
-  // --- inbound: classify sources, report off-node ones to the delegate,
-  // and (on the delegate) derive the frame demux tables.
-  std::vector<PeerCount> in_report;  // off-node (source, count), ascending
-  std::vector<std::uint32_t> in_report_idx;
-  classify_inbound(nodes, my_node, me, delegate, sources, in_counts, d, in_report,
-                   in_report_idx);
-
-  if (me != delegate) {
-    p.send(delegate, in_tag, std::span<const PeerCount>(in_report));
-    if (adaptive) {
-      const auto framed = p.recv<std::int32_t>(delegate, verdict_tag(in_tag));
-      apply_inbound_verdicts_nondelegate(d, nodes, in_report, in_report_idx, framed);
-    }
-  } else {
-    for (const Rank q : nodes.ranks_on(my_node)) {
-      if (q == me) {
-        d.in_reports.push_back(Report{me, in_report});
-      } else {
-        d.in_reports.push_back(Report{q, p.recv<PeerCount>(q, in_tag)});
-      }
-    }
-    const auto by_node = group_pieces(nodes, me, d.in_reports, in_report_idx);
-    // Price each source node with the same summary the sending delegate
-    // computed from its own reports — identical multiset, identical verdict —
-    // and tell the co-residents which source nodes still forward.
-    for (const auto& [src_node, node_pieces] : by_node) {
-      if (!adaptive) {
-        d.framed_in.push_back(src_node);
-        continue;
-      }
-      std::vector<PairEntry> entries;
-      entries.reserve(node_pieces.size());
-      for (const auto& piece : node_pieces) {
-        entries.push_back(PairEntry{piece.source, piece.target, piece.count});
-      }
-      if (pair_framed(summarize_pair(entries, nodes.delegate_of(src_node), me),
-                      p.net(), opts, src_node, my_node)) {
-        d.framed_in.push_back(src_node);
-      }
-    }
-    if (adaptive) {
-      for (const Rank q : nodes.ranks_on(my_node)) {
-        if (q != me) p.send(q, verdict_tag(in_tag), d.framed_in);
-      }
-    }
-    assemble_inbound_delegate(d, nodes, me, by_node, d.framed_in);
-  }
-
-  finish_inbound_sizing(d, in_counts);
-
-  // Inspector-style bookkeeping charge: every peer/source entry is touched
-  // once while classifying, and the delegate touches every reported piece.
-  p.compute(costs.per_list_op *
-            static_cast<double>(peers.size() + sources.size() + d.demux.size()));
-  return d;
-}
+// The plan exchange: report diffs, spliced on the delegate.
 
 /// A rank's off-node (peer, count) report for one base list — what
-/// classify_outbound/classify_inbound would have reported at build time,
-/// recomputed from the schedule lists so the patch protocol needs no
+/// classify_outbound/classify_inbound reported when the base plan was
+/// built, recomputed from the schedule lists so the protocol needs no
 /// retained state on non-delegates.
 std::vector<PeerCount> off_node_report(const NodeMap& nodes, int my_node,
                                        const std::vector<Rank>& ranks,
@@ -495,7 +366,8 @@ std::vector<PeerCount> off_node_report(const NodeMap& nodes, int my_node,
 }
 
 /// Entry-level diff between two ascending reports: changed/added entries
-/// carry the new count, removed ones the 0 tombstone. Empty means unchanged.
+/// carry the new count, removed ones the 0 tombstone. Empty means unchanged;
+/// against an empty `before` the diff is `after` itself.
 std::vector<PeerCount> diff_report(const std::vector<PeerCount>& before,
                                    const std::vector<PeerCount>& after) {
   std::vector<PeerCount> diff;
@@ -506,6 +378,7 @@ std::vector<PeerCount> diff_report(const std::vector<PeerCount>& before,
       diff.push_back(PeerCount{before[a].rank, 0});
       ++a;
     } else if (a == before.size() || after[b].rank < before[a].rank) {
+      STANCE_ASSERT_MSG(after[b].count != 0, "a 0 count would read as a tombstone");
       diff.push_back(after[b]);
       ++b;
     } else {
@@ -539,150 +412,170 @@ void apply_diff(std::vector<PeerCount>& report, const std::vector<PeerCount>& di
   report = std::move(merged);
 }
 
-/// Patch one direction: diff-sized exchange, spliced reports, verdicts
-/// re-priced only for the node pairs the diff touches, then the same
-/// assembly as build_direction. The old reports are recomputed locally from
-/// the old schedule's lists (non-delegates retain nothing), so the protocol
-/// needs no extra state beyond what delegates already store in the plan.
-DirectionPlan patch_direction(mp::Process& p, const NodeMap& nodes,
-                              const DirectionPlan& old_d,
-                              const std::vector<Rank>& old_peers,
-                              const std::vector<std::size_t>& old_out_counts,
-                              const std::vector<Rank>& old_sources,
-                              const std::vector<std::size_t>& old_in_counts,
-                              const std::vector<Rank>& peers,
-                              const std::vector<std::size_t>& out_counts,
-                              const std::vector<Rank>& sources,
-                              const std::vector<std::size_t>& in_counts,
-                              mp::Tag out_tag, mp::Tag in_tag,
-                              const sim::CpuCostModel& costs,
-                              const CoalesceOptions& opts) {
+/// Non-delegate half of one exchange round: ship the report diff to the
+/// delegate and, under the adaptive policy, wait for its verdicts.
+std::vector<std::int32_t> send_diff(mp::Process& p, Rank delegate,
+                                    const std::vector<PeerCount>& diff, mp::Tag tag,
+                                    bool adaptive) {
+  p.send(delegate, tag, std::span<const PeerCount>(diff));
+  if (!adaptive) return {};
+  return p.recv<std::int32_t>(delegate, verdict_tag(tag));
+}
+
+/// Delegate half of one exchange round. Collects every co-resident's report
+/// diff (its own is `my_diff`) and splices it into `reports`; `group` splits
+/// the spliced reports per node pair. A pair the diffs touch is re-priced by
+/// `price`; an untouched one keeps its base verdict (both endpoint delegates
+/// saw no diff for it, so both keep it). Under the adaptive policy the
+/// framed node ids go back to the co-residents. Returns the groups; the
+/// verdicts land in `framed`, ascending (maps iterate in key order).
+template <class Group, class Price>
+auto delegate_round(mp::Process& p, const NodeMap& nodes, std::vector<Report>& reports,
+                    const std::vector<PeerCount>& my_diff, mp::Tag tag, bool adaptive,
+                    const std::vector<std::int32_t>& base_framed,
+                    std::vector<std::int32_t>& framed, std::uint64_t& splice_ops,
+                    Group group, Price price) {
+  std::vector<int> touched;
+  for (auto& report : reports) {
+    const auto diff =
+        report.rank == p.rank() ? my_diff : p.recv<PeerCount>(report.rank, tag);
+    splice_ops += diff.size();
+    for (const auto& e : diff) touched.push_back(nodes.node_of(e.rank));
+    apply_diff(report.entries, diff);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  auto groups = group(reports);
+  for (const auto& [node, pieces] : groups) {
+    if (std::binary_search(touched.begin(), touched.end(), node)
+            ? price(node, pieces)
+            : std::binary_search(base_framed.begin(), base_framed.end(), node)) {
+      framed.push_back(node);
+    }
+  }
+  if (adaptive) {
+    for (const Rank q : nodes.ranks_on(nodes.node_of(p.rank()))) {
+      if (q != p.rank()) p.send(q, verdict_tag(tag), framed);
+    }
+  }
+  return groups;
+}
+
+/// One rank's base-schedule lists for one direction: outbound peers and
+/// their element counts, inbound sources and theirs.
+struct DirectionLists {
+  const std::vector<Rank>& peers;
+  const std::vector<std::size_t>& out_counts;
+  const std::vector<Rank>& sources;
+  const std::vector<std::size_t>& in_counts;
+};
+
+/// Build one direction of the plan for the lists `now` as a patch of `base`,
+/// built for the lists `old`. Collective across the rank's node: everyone
+/// ships its off-node report diff to the delegate, which splices the
+/// retained reports, re-prices the touched node pairs (replying the framed
+/// node ids under the adaptive policy) and derives the frame layouts.
+/// Delegates retain the spliced reports and verdicts in the plan for the
+/// next patch. A fresh plan passes base == nullptr and empty `old` lists:
+/// every report diff is then the whole report (real reports carry no 0
+/// count), the delegate splices into one empty report per co-resident, and
+/// every node pair is touched and priced.
+DirectionPlan plan_direction(mp::Process& p, const NodeMap& nodes,
+                             const DirectionPlan* base, const DirectionLists& old,
+                             const DirectionLists& now, mp::Tag out_tag, mp::Tag in_tag,
+                             const sim::CpuCostModel& costs,
+                             const CoalesceOptions& opts) {
   const Rank me = p.rank();
   const int my_node = nodes.node_of(me);
   const Rank delegate = nodes.delegate_of(my_node);
   const bool adaptive = opts.policy == CoalescePolicy::kAdaptive;
+  const bool fresh = base == nullptr;
+  DirectionPlan empty;  // a fresh plan's base: one empty report per co-resident
+  if (fresh && me == delegate) {
+    for (const Rank q : nodes.ranks_on(my_node)) empty.out_reports.push_back(Report{q, {}});
+    empty.in_reports = empty.out_reports;
+  }
+  if (fresh) base = &empty;
   DirectionPlan d;
   std::uint64_t splice_ops = 0;  // diff entries + re-priced pair entries
 
-  // --- outbound ------------------------------------------------------------
-  std::map<int, std::vector<std::uint32_t>> off_node;
-  std::vector<PeerCount> out_report;
-  classify_outbound(nodes, my_node, peers, out_counts, d, off_node, out_report);
-  const auto old_out_report =
-      off_node_report(nodes, my_node, old_peers, old_out_counts);
-  const auto out_diff = diff_report(old_out_report, out_report);
+  // --- outbound: direct for co-residents; everything off-node is grouped
+  // by destination node, as bundles (non-delegate) or frame parts.
+  std::map<int, std::vector<std::uint32_t>> off_node;  // dest node -> peer indices
+  std::vector<PeerCount> out_report;                   // off-node (target, count), asc
+  classify_outbound(nodes, my_node, now.peers, now.out_counts, d, off_node, out_report);
+  const auto out_diff = diff_report(
+      off_node_report(nodes, my_node, old.peers, old.out_counts), out_report);
   splice_ops += out_diff.size();
 
   if (me != delegate) {
-    p.send(delegate, out_tag, std::span<const PeerCount>(out_diff));
-    std::vector<std::int32_t> framed;
-    if (adaptive) framed = p.recv<std::int32_t>(delegate, verdict_tag(out_tag));
-    assemble_outbound_nondelegate(d, off_node, out_counts, framed, adaptive);
+    // Adaptive: traffic to the destination nodes the delegate demoted
+    // reverts to direct wire messages.
+    const auto framed = send_diff(p, delegate, out_diff, out_tag, adaptive);
+    assemble_outbound_nondelegate(d, off_node, now.out_counts, framed, adaptive);
   } else {
-    d.out_reports = old_d.out_reports;
-    std::vector<int> changed;  // destination nodes the diffs touch
-    for (auto& report : d.out_reports) {
-      const auto qdiff = report.rank == me
-                             ? out_diff
-                             : p.recv<PeerCount>(report.rank, out_tag);
-      splice_ops += qdiff.size();
-      for (const auto& e : qdiff) changed.push_back(nodes.node_of(e.rank));
-      apply_diff(report.entries, qdiff);
-    }
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-    const auto pair_entries = group_pairs(nodes, d.out_reports);
-    for (const auto& [dest_node, entries] : pair_entries) {
-      bool framed_now;
-      if (!std::binary_search(changed.begin(), changed.end(), dest_node)) {
-        // Untouched pair: the stored verdict still holds (both endpoint
-        // delegates saw no diff for it, so both keep it).
-        framed_now = std::binary_search(old_d.framed_out.begin(),
-                                        old_d.framed_out.end(), dest_node);
-      } else {
-        splice_ops += entries.size();
-        framed_now =
-            !adaptive ||
-            pair_framed(summarize_pair(entries, me, nodes.delegate_of(dest_node)),
-                        p.net(), opts, my_node, dest_node);
-      }
-      if (framed_now) d.framed_out.push_back(dest_node);
-    }
-    if (adaptive) {
-      for (const Rank q : nodes.ranks_on(my_node)) {
-        if (q != me) p.send(q, verdict_tag(out_tag), d.framed_out);
-      }
-    }
-    assemble_outbound_delegate(d, nodes, me, peers, out_counts, off_node,
+    // The framing decision needs the whole node pair's traffic, so every
+    // report is spliced before any pair is priced.
+    d.out_reports = base->out_reports;
+    delegate_round(
+        p, nodes, d.out_reports, out_diff, out_tag, adaptive, base->framed_out,
+        d.framed_out, splice_ops,
+        [&](const std::vector<Report>& reports) { return group_pairs(nodes, reports); },
+        [&](int dest_node, const std::vector<Piece>& pieces) {
+          splice_ops += pieces.size();
+          return !adaptive ||
+                 pair_framed(summarize_pair(pieces, me, nodes.delegate_of(dest_node)),
+                             p.net(), opts, my_node, dest_node);
+        });
+    assemble_outbound_delegate(d, nodes, me, now.peers, now.out_counts, off_node,
                                d.out_reports, d.framed_out);
   }
 
-  // --- inbound -------------------------------------------------------------
-  std::vector<PeerCount> in_report;
+  // --- inbound: classify sources, report off-node ones to the delegate,
+  // and (on the delegate) derive the frame demux tables.
+  std::vector<PeerCount> in_report;  // off-node (source, count), ascending
   std::vector<std::uint32_t> in_report_idx;
-  classify_inbound(nodes, my_node, me, delegate, sources, in_counts, d, in_report,
+  classify_inbound(nodes, my_node, me, delegate, now.sources, now.in_counts, d, in_report,
                    in_report_idx);
-  const auto old_in_report = off_node_report(nodes, my_node, old_sources, old_in_counts);
-  const auto in_diff = diff_report(old_in_report, in_report);
+  const auto in_diff = diff_report(
+      off_node_report(nodes, my_node, old.sources, old.in_counts), in_report);
   splice_ops += in_diff.size();
 
   if (me != delegate) {
-    p.send(delegate, in_tag, std::span<const PeerCount>(in_diff));
+    const auto framed = send_diff(p, delegate, in_diff, in_tag, adaptive);
     if (adaptive) {
-      const auto framed = p.recv<std::int32_t>(delegate, verdict_tag(in_tag));
       apply_inbound_verdicts_nondelegate(d, nodes, in_report, in_report_idx, framed);
     }
   } else {
-    d.in_reports = old_d.in_reports;
-    std::vector<int> changed;  // source nodes the diffs touch
-    for (auto& report : d.in_reports) {
-      const auto qdiff = report.rank == me
-                             ? in_diff
-                             : p.recv<PeerCount>(report.rank, in_tag);
-      splice_ops += qdiff.size();
-      for (const auto& e : qdiff) changed.push_back(nodes.node_of(e.rank));
-      apply_diff(report.entries, qdiff);
-    }
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-    const auto by_node = group_pieces(nodes, me, d.in_reports, in_report_idx);
-    for (const auto& [src_node, node_pieces] : by_node) {
-      bool framed_now;
-      if (!std::binary_search(changed.begin(), changed.end(), src_node)) {
-        framed_now = std::binary_search(old_d.framed_in.begin(),
-                                        old_d.framed_in.end(), src_node);
-      } else if (!adaptive) {
-        framed_now = true;
-      } else {
-        splice_ops += node_pieces.size();
-        std::vector<PairEntry> entries;
-        entries.reserve(node_pieces.size());
-        for (const auto& piece : node_pieces) {
-          entries.push_back(PairEntry{piece.source, piece.target, piece.count});
-        }
-        framed_now =
-            pair_framed(summarize_pair(entries, nodes.delegate_of(src_node), me),
-                        p.net(), opts, src_node, my_node);
-      }
-      if (framed_now) d.framed_in.push_back(src_node);
-    }
-    if (adaptive) {
-      for (const Rank q : nodes.ranks_on(my_node)) {
-        if (q != me) p.send(q, verdict_tag(in_tag), d.framed_in);
-      }
-    }
+    // Each source node is priced with the same summary the sending delegate
+    // computed from its own reports — identical multiset, identical verdict.
+    d.in_reports = base->in_reports;
+    const auto by_node = delegate_round(
+        p, nodes, d.in_reports, in_diff, in_tag, adaptive, base->framed_in, d.framed_in,
+        splice_ops,
+        [&](const std::vector<Report>& reports) {
+          return group_pieces(nodes, me, reports, in_report_idx);
+        },
+        [&](int src_node, const std::vector<Piece>& pieces) {
+          if (!adaptive) return true;
+          splice_ops += pieces.size();
+          return pair_framed(summarize_pair(pieces, nodes.delegate_of(src_node), me),
+                             p.net(), opts, src_node, my_node);
+        });
     assemble_inbound_delegate(d, nodes, me, by_node, d.framed_in);
   }
 
-  finish_inbound_sizing(d, in_counts);
+  finish_inbound_sizing(d, now.in_counts);
 
-  // The splice's charge: classification of the new lists plus the diffed
-  // entries and the re-priced pairs' entries — NOT the full demux table the
-  // from-scratch build pays for. (The simulator re-derives the assembly from
-  // the retained reports for byte-identity, but charges the incremental work
-  // a production patch would perform.)
+  // Inspector-style bookkeeping charge: every peer/source entry is touched
+  // once while classifying. A fresh build's delegate touches every reported
+  // piece; a patch pays for the diffed entries and the re-priced pairs'
+  // entries only. (The simulator re-derives a patch's assembly from the
+  // retained reports for byte-identity, but charges the incremental work a
+  // production patch would perform.)
+  const std::uint64_t delegate_ops = fresh ? d.demux.size() : splice_ops;
   p.compute(costs.per_list_op *
-            static_cast<double>(peers.size() + sources.size() + splice_ops));
+            static_cast<double>(now.peers.size() + now.sources.size() + delegate_ops));
   return d;
 }
 
@@ -692,10 +585,39 @@ std::vector<std::size_t> list_sizes(const std::vector<std::vector<Vertex>>& list
   return sizes;
 }
 
+/// Both directions of the plan for `s`, patched from `base` (built for
+/// `old_s`); base == nullptr with an empty `old_s` builds a fresh plan.
+CoalescePlan plan_schedule(mp::Process& p, const CoalescePlan* base,
+                           const CommSchedule& old_s, const CommSchedule& s,
+                           const sim::CpuCostModel& costs, const CoalesceOptions& opts) {
+  const NodeMap& nodes = p.nodes();
+  CoalescePlan plan;
+  plan.my_delegate = nodes.delegate_of_rank(p.rank());
+  plan.schedule_fingerprint = coalesce_fingerprint(s);
+  plan.map_generation = nodes.generation();
+  const auto old_send = list_sizes(old_s.send_items);
+  const auto old_recv = list_sizes(old_s.recv_slots);
+  const auto send_sizes = list_sizes(s.send_items);
+  const auto recv_sizes = list_sizes(s.recv_slots);
+  // Gather: data flows along the send lists; scatter: along the receive
+  // lists with roles swapped.
+  plan.gather = plan_direction(
+      p, nodes, base != nullptr ? &base->gather : nullptr,
+      {old_s.send_procs, old_send, old_s.recv_procs, old_recv},
+      {s.send_procs, send_sizes, s.recv_procs, recv_sizes}, kGatherOutTag, kGatherInTag,
+      costs, opts);
+  plan.scatter = plan_direction(
+      p, nodes, base != nullptr ? &base->scatter : nullptr,
+      {old_s.recv_procs, old_recv, old_s.send_procs, old_send},
+      {s.recv_procs, recv_sizes, s.send_procs, send_sizes}, kScatterOutTag, kScatterInTag,
+      costs, opts);
+  return plan;
+}
+
 }  // namespace
 
 std::uint64_t coalesce_fingerprint(const CommSchedule& s) {
-  // FNV-1a over exactly the inputs build_direction consumes: sizes, peer
+  // FNV-1a over exactly the inputs the plan exchange consumes: sizes, peer
   // ranks, and per-peer element counts. O(peers) — cheap enough for the
   // executors to assert on every call.
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -745,7 +667,8 @@ double MeasuredPairCosts::dst_node_slowdown(int node,
 }
 
 bool frame_profitable(const PairTraffic& t, const sim::NetworkModel& net,
-                      double bytes_per_elem) {
+                      double bytes_per_elem, double src_slowdown,
+                      double dst_slowdown) {
   auto bytes = [&](std::size_t elems) {
     return static_cast<std::size_t>(static_cast<double>(elems) * bytes_per_elem);
   };
@@ -755,40 +678,16 @@ bool frame_profitable(const PairTraffic& t, const sim::NetworkModel& net,
   // source delegate sends one frame instead of src_delegate_msgs messages,
   // the dest delegate receives one instead of dst_delegate_msgs. (A pair the
   // delegates barely touch can make the saving negative — framing would add
-  // wire work to both.)
-  const double saving =
-      (static_cast<double>(t.src_delegate_msgs) - 1.0) * net.send_overhead +
-      (static_cast<double>(t.dst_delegate_msgs) - 1.0) * net.recv_overhead;
-  // What framing loads onto the delegates instead: the co-residents' bytes
-  // now serialize on the source delegate's CPU (they were parallel before),
-  // which also absorbs one bundle handoff per co-resident sender; the dest
-  // delegate pushes every non-delegate piece through shared memory.
-  const double src_penalty =
-      net.serialization_cost(bytes(t.src_off_delegate_elems)) +
-      static_cast<double>(t.bundle_sends) * net.intra_overhead;
-  const double dst_penalty =
-      static_cast<double>(t.messages - t.dst_delegate_msgs) * net.intra_overhead +
-      static_cast<double>(bytes(t.dst_off_delegate_elems)) / net.intra_bandwidth;
-  return saving >= src_penalty + dst_penalty;
-}
-
-bool frame_profitable(const PairTraffic& t, const sim::NetworkModel& net,
-                      double bytes_per_elem, double src_slowdown,
-                      double dst_slowdown) {
-  auto bytes = [&](std::size_t elems) {
-    return static_cast<std::size_t>(static_cast<double>(elems) * bytes_per_elem);
-  };
-  // Same delegate-critical-path comparison as the a-priori form, but every
-  // term is charged at the endpoint's *measured* rate. A uniform slowdown
-  // scales both sides equally and leaves the verdict unchanged (a slow pair
-  // of delegates is slow either way); an asymmetric one shifts it — e.g. a
-  // loaded source delegate makes the funnel serialization outweigh setups
-  // it saves a fast destination.
+  // wire work to both.) Every term is charged at its endpoint's slowdown.
   const double saving =
       src_slowdown * (static_cast<double>(t.src_delegate_msgs) - 1.0) *
           net.send_overhead +
       dst_slowdown * (static_cast<double>(t.dst_delegate_msgs) - 1.0) *
           net.recv_overhead;
+  // What framing loads onto the delegates instead: the co-residents' bytes
+  // now serialize on the source delegate's CPU (they were parallel before),
+  // which also absorbs one bundle handoff per co-resident sender; the dest
+  // delegate pushes every non-delegate piece through shared memory.
   const double src_penalty =
       src_slowdown * (net.serialization_cost(bytes(t.src_off_delegate_elems)) +
                       static_cast<double>(t.bundle_sends) * net.intra_overhead);
@@ -801,29 +700,9 @@ bool frame_profitable(const PairTraffic& t, const sim::NetworkModel& net,
 
 CoalescePlan coalesce(mp::Process& p, const CommSchedule& s,
                       const sim::CpuCostModel& costs, const CoalesceOptions& opts) {
-  const NodeMap& nodes = p.nodes();
-  STANCE_REQUIRE(nodes.nprocs() == p.nprocs(),
+  STANCE_REQUIRE(p.nodes().nprocs() == p.nprocs(),
                  "coalesce: node map does not cover every rank");
-  CoalescePlan plan;
-  plan.my_delegate = nodes.delegate_of_rank(p.rank());
-  plan.schedule_fingerprint = coalesce_fingerprint(s);
-  plan.map_generation = nodes.generation();
-  const auto send_sizes = list_sizes(s.send_items);
-  const auto recv_sizes = list_sizes(s.recv_slots);
-  // Gather: data flows along the send lists; scatter: along the receive
-  // lists with roles swapped.
-  plan.gather = build_direction(p, nodes, s.send_procs, send_sizes, s.recv_procs,
-                                recv_sizes, kPlanGatherOutTag, kPlanGatherInTag, costs,
-                                opts);
-  plan.scatter = build_direction(p, nodes, s.recv_procs, recv_sizes, s.send_procs,
-                                 send_sizes, kPlanScatterOutTag, kPlanScatterInTag,
-                                 costs, opts);
-  return plan;
-}
-
-CoalescePlan coalesce(mp::Process& p, const CommSchedule& s,
-                      const sim::CpuCostModel& costs) {
-  return coalesce(p, s, costs, CoalesceOptions{});
+  return plan_schedule(p, nullptr, CommSchedule{}, s, costs, opts);
 }
 
 CoalescePlan patch_coalesce(mp::Process& p, const CoalescePlan& old_plan,
@@ -836,23 +715,7 @@ CoalescePlan patch_coalesce(mp::Process& p, const CoalescePlan& old_plan,
   STANCE_REQUIRE(old_plan.matches(old_s, nodes),
                  "patch_coalesce: base plan is stale (schedule changed under it, or "
                  "delegates rotated since it was built) — rebuild with coalesce()");
-  CoalescePlan plan;
-  plan.my_delegate = nodes.delegate_of_rank(p.rank());
-  plan.schedule_fingerprint = coalesce_fingerprint(new_s);
-  plan.map_generation = nodes.generation();
-  const auto old_send = list_sizes(old_s.send_items);
-  const auto old_recv = list_sizes(old_s.recv_slots);
-  const auto send_sizes = list_sizes(new_s.send_items);
-  const auto recv_sizes = list_sizes(new_s.recv_slots);
-  plan.gather = patch_direction(p, nodes, old_plan.gather, old_s.send_procs, old_send,
-                                old_s.recv_procs, old_recv, new_s.send_procs,
-                                send_sizes, new_s.recv_procs, recv_sizes,
-                                kPatchGatherOutTag, kPatchGatherInTag, costs, opts);
-  plan.scatter = patch_direction(p, nodes, old_plan.scatter, old_s.recv_procs, old_recv,
-                                 old_s.send_procs, old_send, new_s.recv_procs,
-                                 recv_sizes, new_s.send_procs, send_sizes,
-                                 kPatchScatterOutTag, kPatchScatterInTag, costs, opts);
-  return plan;
+  return plan_schedule(p, &old_plan, old_s, new_s, costs, opts);
 }
 
 }  // namespace stance::sched

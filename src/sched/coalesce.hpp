@@ -309,39 +309,39 @@ struct PairTraffic {
 /// dest delegate forwards every non-delegate piece through shared memory.
 /// True when the saving covers the cost — ties frame, so a zero-cost
 /// network reproduces kAlwaysFrame exactly.
+///
+/// Every term that runs on a delegate's clock is scaled by that endpoint's
+/// observed slowdown (src_slowdown for the source delegate's setups,
+/// serialization and bundle handoffs, dst_slowdown for the destination's
+/// receive setups and forwards). The 1.0 defaults give the a-priori,
+/// reference-speed verdict bit for bit (x * 1.0 is exact); an asymmetric
+/// slowdown (one endpoint's delegate on a slow or loaded CPU) can flip it —
+/// the verdict then comes from observation, not the model.
 [[nodiscard]] bool frame_profitable(const PairTraffic& t, const sim::NetworkModel& net,
-                                    double bytes_per_elem);
-
-/// Measured-feedback variant: every term that runs on a delegate's clock is
-/// scaled by that endpoint's observed slowdown (src_slowdown for the source
-/// delegate's setups/serialization/bundle handoffs, dst_slowdown for the
-/// destination's receive setups and forwards). With both factors 1.0 this
-/// is exactly the a-priori verdict; an asymmetric slowdown (one endpoint's
-/// delegate on a slow or loaded CPU) can flip it — which is the point:
-/// the verdict then comes from observation, not the reference-speed model.
-[[nodiscard]] bool frame_profitable(const PairTraffic& t, const sim::NetworkModel& net,
-                                    double bytes_per_elem, double src_slowdown,
-                                    double dst_slowdown);
+                                    double bytes_per_elem, double src_slowdown = 1.0,
+                                    double dst_slowdown = 1.0);
 
 /// Collective (like the inspector): every rank calls this with its own
-/// schedule. Co-resident ranks exchange their outbound and inbound lists so
-/// each node's delegate learns the frame layouts it will assemble and
-/// demux; the exchange is intra-node traffic and its cost is charged to p's
-/// clock, as are the list-processing costs via `costs`. With a trivial node
-/// map (one rank per node) every frame demotes to a direct message and the
-/// coalesced executors behave exactly like the plain ones.
+/// schedule. Co-resident ranks report their off-node outbound and inbound
+/// lists to their node's delegate, which learns the frame layouts it will
+/// assemble and demux; the exchange is intra-node traffic and its cost is
+/// charged to p's clock, as are the list-processing costs via `costs`. With
+/// a trivial node map (one rank per node) every frame demotes to a direct
+/// message and the coalesced executors behave exactly like the plain ones.
 ///
 /// Under CoalescePolicy::kAdaptive the delegates additionally price every
 /// node pair against p.net() and reply the per-pair verdicts to their
 /// co-residents; demoted pairs keep the base schedule's direct per-peer
-/// messages.
+/// messages. The default options give the original all-or-nothing framing
+/// (CoalescePolicy::kAlwaysFrame).
+///
+/// A fresh plan is patch_coalesce() from an empty base: no old lists, so
+/// every report diff is the whole report and every node pair is priced.
+/// Only the compute charge differs — a fresh build's delegate pays for
+/// every demux entry, a patch for the diffed and re-priced entries.
 [[nodiscard]] CoalescePlan coalesce(mp::Process& p, const CommSchedule& s,
                                     const sim::CpuCostModel& costs,
-                                    const CoalesceOptions& opts);
-
-/// Original all-or-nothing coalescing (CoalescePolicy::kAlwaysFrame).
-[[nodiscard]] CoalescePlan coalesce(mp::Process& p, const CommSchedule& s,
-                                    const sim::CpuCostModel& costs);
+                                    const CoalesceOptions& opts = {});
 
 /// Collective: patch `old_plan` (built for `old_s`) into a plan for `new_s`
 /// without re-exchanging or re-pricing the whole node's traffic. Every rank
@@ -350,7 +350,8 @@ struct PairTraffic {
 /// re-prices exactly the node pairs the diff touches (reusing the stored
 /// verdicts everywhere else — both endpoint delegates see the same diffed
 /// multiset, so verdicts stay pairwise consistent), and re-derives the frame
-/// layouts. Byte-identical to coalesce(p, new_s, costs, opts) when `opts`
+/// layouts. This is the one plan exchange: coalesce() runs it from an empty
+/// base. Byte-identical to coalesce(p, new_s, costs, opts) when `opts`
 /// (policy, bytes_per_elem, measured table) matches what `old_plan` was
 /// built with — the precondition the oracle tests pin; under the adaptive
 /// executor the table may have drifted, in which case unchanged pairs keep

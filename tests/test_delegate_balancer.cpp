@@ -77,6 +77,51 @@ TEST(DelegateBalancer, FrameWindowPricesIntervalsIndependently) {
   EXPECT_EQ(w3.frames_sent, 0u);
   EXPECT_TRUE(w3.pair_frames.empty());
   EXPECT_DOUBLE_EQ(lb::frame_seconds(w3, net), 0.0);
+
+  // The receive side windows the same way, per source node; a pair silent
+  // in one window drops out of it.
+  stats.record_frame(1, 4000, 0.004);
+  stats.record_frame_recv(0, 500, 0.0005);
+  stats.record_frame_recv(3, 800, 0.1);
+  const auto w4 = stats.take_frame_window();
+  ASSERT_EQ(w4.pair_frames.size(), 1u);
+  EXPECT_EQ(w4.pair_frames[0].dest_node, 1);
+  EXPECT_EQ(w4.pieces_forwarded, 2u);
+  EXPECT_EQ(w4.forward_bytes, 1300u);
+  ASSERT_EQ(w4.pair_forwards.size(), 2u);
+  EXPECT_EQ(w4.pair_forwards[0].src_node, 0);
+  EXPECT_EQ(w4.pair_forwards[1].src_node, 3);
+  EXPECT_EQ(w4.pair_forwards[1].pieces, 1u);
+  // Active again in the next window, with only that window's traffic; the
+  // seconds are cumulative − mark, not a separately summed window.
+  stats.record_frame(2, 1000, 0.001);
+  stats.record_frame_recv(3, 800, 0.2);
+  const auto w5 = stats.take_frame_window();
+  ASSERT_EQ(w5.pair_frames.size(), 1u);
+  EXPECT_EQ(w5.pair_frames[0].dest_node, 2);
+  EXPECT_EQ(w5.pair_frames[0].frames, 1u);
+  EXPECT_EQ(w5.pair_frames[0].bytes, 1000u);
+  ASSERT_EQ(w5.pair_forwards.size(), 1u);
+  EXPECT_EQ(w5.pair_forwards[0].src_node, 3);
+  EXPECT_EQ(w5.pair_forwards[0].pieces, 1u);
+  EXPECT_EQ(w5.pair_forwards[0].bytes, 800u);
+  EXPECT_EQ(w5.pair_forwards[0].seconds, (0.1 + 0.2) - 0.1);
+  EXPECT_NE(w5.pair_forwards[0].seconds, 0.2);
+
+  // reset() clears the totals and re-arms the window: the next window
+  // holds exactly the traffic recorded after it.
+  stats.reset();
+  stats.record_frame(1, 4000, 0.004);
+  stats.record_frame_recv(3, 800, 0.0008);
+  const auto w6 = stats.take_frame_window();
+  EXPECT_EQ(w6.frames_sent, 1u);
+  EXPECT_EQ(w6.frame_bytes_sent, 4000u);
+  ASSERT_EQ(w6.pair_frames.size(), 1u);
+  EXPECT_EQ(w6.pair_frames[0].frames, 1u);
+  EXPECT_EQ(w6.pieces_forwarded, 1u);
+  ASSERT_EQ(w6.pair_forwards.size(), 1u);
+  EXPECT_EQ(w6.pair_forwards[0].pieces, 1u);
+  EXPECT_EQ(w6.pair_forwards[0].seconds, 0.0008);
 }
 
 TEST(DelegateBalancer, ChooseDelegatesKeepsIncumbentOnIdleNodes) {

@@ -11,11 +11,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "graph/builders.hpp"
+#include "graph/delaunay.hpp"
 #include "graph/delta.hpp"
 #include "lb/adaptive_executor.hpp"
 #include "mp/cluster.hpp"
@@ -392,6 +394,198 @@ TEST(PatchCoalesce, DelegateRotationInvalidatesThePatch) {
                                              sim::CpuCostModel::free(), {}),
                  std::invalid_argument);
   });
+}
+
+// --- randomized plan oracle ---------------------------------------------------
+
+/// 2–4 ranks per node, dealt to the nodes in random order, and on every node
+/// a delegate other than its lowest rank.
+NodeMap random_node_map(int nprocs, Rng& rng) {
+  std::vector<int> node_of;
+  for (int node = 0, left = nprocs; left > 0; ++node) {
+    std::vector<int> sizes;  // node sizes that never strand a single rank
+    for (int k = 2; k <= std::min(4, left); ++k) {
+      if (left - k != 1) sizes.push_back(k);
+    }
+    const int k = sizes[rng.below(sizes.size())];
+    node_of.insert(node_of.end(), static_cast<std::size_t>(k), node);
+    left -= k;
+  }
+  std::shuffle(node_of.begin(), node_of.end(), rng);
+  NodeMap nodes(std::move(node_of));
+  for (int node = 0; node < nodes.nnodes(); ++node) {
+    const auto on = nodes.ranks_on(node);
+    nodes.set_delegate(node, on[1 + rng.below(on.size() - 1)]);
+  }
+  return nodes;
+}
+
+/// Measured frame costs for a random subset of node pairs, send and receive
+/// side, so adaptive verdicts come from skewed slowdowns, not the model.
+sched::MeasuredPairCosts random_measurements(int nnodes, Rng& rng) {
+  sched::MeasuredPairCosts m;
+  for (int s = 0; s < nnodes; ++s) {
+    for (int d = 0; d < nnodes; ++d) {
+      if (s == d || rng.below(3) == 0) continue;
+      sched::MeasuredPairCost c;
+      c.src_node = s;
+      c.dst_node = d;
+      c.frames = 1 + rng.below(20);
+      c.bytes = 8 * (1 + rng.below(4000));
+      c.seconds = rng.uniform(1e-6, 1e-2);
+      c.dst_pieces = rng.below(8);
+      c.dst_bytes = 8 * c.dst_pieces * (1 + rng.below(500));
+      c.dst_seconds = rng.uniform(1e-7, 1e-3);
+      m.pairs.push_back(c);
+    }
+  }
+  return m;
+}
+
+struct MeshState {
+  Csr g;
+  IntervalPartition part;
+};
+
+/// Random block weights laid out in a random rank order, so a drift between
+/// two of these changes who talks to whom, not only how much.
+IntervalPartition random_arranged_partition(graph::Vertex n, int nprocs, Rng& rng) {
+  partition::Arrangement order(static_cast<std::size_t>(nprocs));
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), rng);
+  const auto weights = random_weights(static_cast<std::size_t>(nprocs), rng);
+  return IntervalPartition::from_weights_arranged(n, weights, order);
+}
+
+/// One step of a delta chain: a partition drift or a refinement-front edit.
+MeshState random_step(const MeshState& s, Rng& rng) {
+  if (rng.below(2) == 0) {
+    return {s.g, random_arranged_partition(s.g.num_vertices(), s.part.nparts(), rng)};
+  }
+  CsrDelta cd = stencil_churn(s.g, rng());
+  return {s.g.apply(cd), s.part};
+}
+
+TEST(PatchCoalesceRandomized, PatchedChainsMatchFreshPlans) {
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(7000 + seed);
+    const int nprocs = 4 + static_cast<int>(rng.below(7));
+    const NodeMap nodes = random_node_map(nprocs, rng);
+    const auto table = random_measurements(nodes.nnodes(), rng);
+    std::vector<MeshState> chain;
+    // Random points numbered along x: intervals are strips, so each rank
+    // talks to a few neighbours and a drift can drop a peer (a tombstone).
+    auto points =
+        graph::random_points(300 + static_cast<graph::Vertex>(rng.below(400)), rng());
+    std::sort(points.begin(), points.end(),
+              [](const graph::Point2& a, const graph::Point2& b) { return a.x < b.x; });
+    const Csr g0 = graph::delaunay_graph(std::move(points));
+    chain.push_back({g0, random_arranged_partition(g0.num_vertices(), nprocs, rng)});
+    chain.push_back(random_step(chain[0], rng));
+    chain.push_back(random_step(chain[1], rng));
+    std::vector<std::vector<InspectorResult>> irs;
+    for (const auto& s : chain) irs.push_back(build_all_schedules(s.g, s.part));
+
+    for (const auto policy :
+         {sched::CoalescePolicy::kAlwaysFrame, sched::CoalescePolicy::kAdaptive}) {
+      for (const bool measured : {false, true}) {
+        sched::CoalesceOptions opts;
+        opts.policy = policy;
+        opts.measured = measured ? &table : nullptr;
+        const auto n = static_cast<std::size_t>(nprocs);
+        std::vector<CoalescePlan> a(n), ab(n), abc(n), b(n), c(n);
+        mp::Cluster cluster(sim::MachineSpec::uniform_ethernet(n), nodes);
+        cluster.run([&](mp::Process& p) {
+          const auto r = static_cast<std::size_t>(p.rank());
+          const auto cpu = sim::CpuCostModel::free();
+          a[r] = sched::coalesce(p, irs[0][r].schedule, cpu, opts);
+          ab[r] = sched::patch_coalesce(p, a[r], irs[0][r].schedule, irs[1][r].schedule,
+                                        cpu, opts);
+          abc[r] = sched::patch_coalesce(p, ab[r], irs[1][r].schedule,
+                                         irs[2][r].schedule, cpu, opts);
+          b[r] = sched::coalesce(p, irs[1][r].schedule, cpu, opts);
+          c[r] = sched::coalesce(p, irs[2][r].schedule, cpu, opts);
+        });
+        for (std::size_t r = 0; r < n; ++r) {
+          EXPECT_TRUE(ab[r] == b[r]) << "seed " << seed << " measured " << measured
+                                     << " rank " << r << ": A->B";
+          EXPECT_TRUE(abc[r] == c[r]) << "seed " << seed << " measured " << measured
+                                      << " rank " << r << ": A->B->C";
+        }
+      }
+    }
+  }
+}
+
+// --- the plan exchange's bill --------------------------------------------------
+// Virtual makespan and traffic of one fixed fresh build and one fixed patch.
+// The values were recorded while coalesce() still ran a protocol of its own,
+// so they pin that sharing one exchange changed neither the wire traffic
+// nor the compute charge of either entry point. They hold for builds that
+// keep a*b+c as two roundings (the default x86-64 target).
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+constexpr bool kBillPinsApply = false;
+#else
+constexpr bool kBillPinsApply = true;
+#endif
+
+TEST(PatchCoalesce, PlanExchangeBillIsPinned) {
+  if (!kBillPinsApply) GTEST_SKIP() << "FMA target: virtual times are build-specific";
+  const Csr g = graph::random_delaunay(600, 67);
+  Rng rng(17);
+  const auto from = test::random_partition(g.num_vertices(), 8, rng);
+  const auto to = test::random_partition(g.num_vertices(), 8, rng);
+  const auto old_irs = build_all_schedules(g, from);
+  const auto new_irs = build_all_schedules(g, to);
+  struct Bill {
+    double makespan;
+    std::uint64_t messages;
+    std::uint64_t bytes;
+  };
+  struct Pinned {
+    sched::CoalescePolicy policy;
+    Bill fresh;
+    Bill patch;  // makespan is cumulative: clocks persist across run()
+  };
+  const Pinned pinned[] = {
+      {sched::CoalescePolicy::kAlwaysFrame,
+       {0.0002448000000000001, 24, 768},
+       {0.00047999999999999996, 24, 752}},
+      {sched::CoalescePolicy::kAdaptive,
+       {0.00060440000000000016, 48, 768},
+       {0.0011852000000000008, 48, 752}},
+  };
+  for (const auto& pin : pinned) {
+    NodeMap nodes = NodeMap::contiguous(8, 4);
+    nodes.set_delegate(0, 2);
+    nodes.set_delegate(1, 7);
+    mp::Cluster cluster(sim::MachineSpec::uniform_ethernet(8), nodes);
+    sched::CoalesceOptions opts;
+    opts.policy = pin.policy;
+    std::vector<CoalescePlan> plans(8);
+    auto bill = [&cluster] {
+      const auto stats = cluster.total_stats();
+      return Bill{cluster.makespan(), stats.messages_sent, stats.bytes_sent};
+    };
+    cluster.run([&](mp::Process& p) {
+      const auto r = static_cast<std::size_t>(p.rank());
+      plans[r] = sched::coalesce(p, old_irs[r].schedule, sim::CpuCostModel::sun4(), opts);
+    });
+    const Bill fresh = bill();
+    cluster.run([&](mp::Process& p) {
+      const auto r = static_cast<std::size_t>(p.rank());
+      plans[r] = sched::patch_coalesce(p, plans[r], old_irs[r].schedule,
+                                       new_irs[r].schedule, sim::CpuCostModel::sun4(),
+                                       opts);
+    });
+    const Bill patch = bill();
+    EXPECT_EQ(fresh.makespan, pin.fresh.makespan);
+    EXPECT_EQ(fresh.messages, pin.fresh.messages);
+    EXPECT_EQ(fresh.bytes, pin.fresh.bytes);
+    EXPECT_EQ(patch.makespan, pin.patch.makespan);
+    EXPECT_EQ(patch.messages, pin.patch.messages);
+    EXPECT_EQ(patch.bytes, pin.patch.bytes);
+  }
 }
 
 // --- the adaptive executor consumes a mesh delta in place --------------------
