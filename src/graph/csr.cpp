@@ -48,6 +48,7 @@ void Csr::set_coords(std::vector<Point2> coords) {
   STANCE_REQUIRE(coords.size() == static_cast<std::size_t>(num_vertices()),
                  "coordinate count must equal vertex count");
   coords_ = std::move(coords);
+  fingerprint_.store(0);
 }
 
 void Csr::set_weights(std::vector<double> weights) {
@@ -57,6 +58,7 @@ void Csr::set_weights(std::vector<double> weights) {
     STANCE_REQUIRE(w > 0.0, "vertex weights must be positive");
   }
   weights_ = std::move(weights);
+  fingerprint_.store(0);
 }
 
 Csr Csr::permuted(std::span<const Vertex> perm) const {
@@ -152,6 +154,17 @@ double Csr::avg_degree() const {
 }
 
 std::uint64_t Csr::fingerprint() const {
+  std::uint64_t fp = fingerprint_.load();
+  if (fp == 0) {
+    // Racing first callers each hash the same immutable arrays and store the
+    // same digest, so the race is benign and needs no lock.
+    fp = compute_fingerprint();
+    fingerprint_.store(fp);
+  }
+  return fp;
+}
+
+std::uint64_t Csr::compute_fingerprint() const {
   support::Fnv1a h;
   h.mix(static_cast<std::uint64_t>(num_vertices()));
   for (const EdgeIndex o : offsets_) h.mix(static_cast<std::uint64_t>(o));

@@ -6,6 +6,7 @@
 // every undirected edge are stored; num_edges() counts undirected edges.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -99,14 +100,44 @@ class Csr {
   /// weights when present). Two graphs with equal fingerprints produce
   /// identical downstream orderings, partitions, and schedules; the
   /// stance::Service plan cache keys on it so repeat meshes skip the
-  /// inspector.
+  /// inspector. Memoized: the graph is hashed at most once between
+  /// mutations, and concurrent callers on one shared graph are safe.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
+  /// The digest fingerprint() memoizes; 0 means "not computed yet" (a graph
+  /// whose real digest is 0 just rehashes on every call). Copies and moves
+  /// carry the digest with the arrays it describes; set_coords/set_weights
+  /// clear it. Atomic because rank threads share one const graph.
+  class FingerprintMemo {
+   public:
+    FingerprintMemo() = default;
+    FingerprintMemo(const FingerprintMemo& o) noexcept : v_(o.load()) {}
+    FingerprintMemo(FingerprintMemo&& o) noexcept : v_(o.take()) {}
+    FingerprintMemo& operator=(const FingerprintMemo& o) noexcept {
+      store(o.load());
+      return *this;
+    }
+    FingerprintMemo& operator=(FingerprintMemo&& o) noexcept {
+      store(o.take());
+      return *this;
+    }
+
+    [[nodiscard]] std::uint64_t load() const noexcept { return v_.load(); }
+    void store(std::uint64_t v) noexcept { v_.store(v); }
+
+   private:
+    std::uint64_t take() noexcept { return v_.exchange(0); }
+    std::atomic<std::uint64_t> v_{0};
+  };
+
+  [[nodiscard]] std::uint64_t compute_fingerprint() const;
+
   std::vector<EdgeIndex> offsets_;  ///< size nv+1
   std::vector<Vertex> targets_;     ///< both directions of every edge
   std::vector<Point2> coords_;      ///< optional, size nv when present
   std::vector<double> weights_;     ///< optional, size nv when present
+  mutable FingerprintMemo fingerprint_;
 };
 
 }  // namespace stance::graph

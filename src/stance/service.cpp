@@ -82,8 +82,9 @@ Admission Service::submit(JobSpec spec) {
     }
   }
 
-  // Hash outside the lock: O(edges), and the digest also powers the batch
-  // check and the cache key later.
+  // Outside the lock: a mesh's first fingerprint() hashes it, O(edges); every
+  // later submit of the same mesh reads the memo. The digest also powers the
+  // batch check and the cache key later.
   const std::uint64_t mesh_fp = spec.mesh->fingerprint();
 
   std::lock_guard<std::mutex> lock(mutex_);

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -124,6 +126,82 @@ TEST(CsrDelta, ApplyRefusesAMismatchedBase) {
   d.insert_edges = {{0, 50}};
   (void)g.apply(d);  // stamps base = g
   EXPECT_THROW((void)other.apply(d), std::invalid_argument);
+}
+
+// The dirty set against the definition it replaced: every endpoint of every
+// inserted/removed edge, sorted and unique. Raw (unnormalized) deltas, so
+// duplicates, reversed pairs and self loops reach dirty_vertices() as-is.
+std::vector<graph::Vertex> sort_unique_dirty(const CsrDelta& d) {
+  std::vector<graph::Vertex> ref;
+  for (const auto& [u, v] : d.insert_edges) {
+    ref.push_back(u);
+    ref.push_back(v);
+  }
+  for (const auto& [u, v] : d.remove_edges) {
+    ref.push_back(u);
+    ref.push_back(v);
+  }
+  std::sort(ref.begin(), ref.end());
+  ref.erase(std::unique(ref.begin(), ref.end()), ref.end());
+  return ref;
+}
+
+std::vector<graph::Edge> random_edges(Rng& rng, graph::Vertex nv, std::size_t count) {
+  auto endpoint = [&]() -> graph::Vertex {
+    const auto roll = rng.below(4);
+    if (roll == 0) return 0;
+    if (roll == 1) return nv - 1;
+    return static_cast<graph::Vertex>(rng.below(static_cast<std::uint64_t>(nv)));
+  };
+  std::vector<graph::Edge> edges;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto roll = rng.below(8);
+    if (roll == 0 && !edges.empty()) {
+      const auto& [u, v] = edges[rng.below(edges.size())];
+      edges.emplace_back(v, u);  // a duplicate, reversed
+    } else if (roll == 1) {
+      const graph::Vertex u = endpoint();
+      edges.emplace_back(u, u);  // a self loop
+    } else {
+      edges.emplace_back(endpoint(), endpoint());
+    }
+  }
+  return edges;
+}
+
+TEST(CsrDelta, DirtyVerticesMatchTheSortUniqueOracle) {
+  // Small and large edge counts over small and huge vertex ranges, so dense
+  // and sparse endpoint sets are both covered.
+  const std::vector<graph::Vertex> sizes{1, 2, 63, 64, 65, 1000, 16000, 1 << 20};
+  const std::vector<std::size_t> counts{0, 1, 3, 40, 3000};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    for (const graph::Vertex nv : sizes) {
+      for (const std::size_t count : counts) {
+        for (const int lists : {0, 1, 2}) {  // both, inserts only, removes only
+          CsrDelta d;
+          if (lists != 2) d.insert_edges = random_edges(rng, nv, count);
+          if (lists != 1) d.remove_edges = random_edges(rng, nv, count);
+          d.weight_edits = {{0, 2.0}, {nv - 1, 3.0}};  // never dirty
+          ASSERT_EQ(d.dirty_vertices(), sort_unique_dirty(d))
+              << "seed " << seed << " nv " << nv << " count " << count << " lists " << lists;
+        }
+      }
+    }
+  }
+
+  // Both lists empty; and endpoints no graph could hold, spanning the whole
+  // Vertex range (dirty_vertices() does not range-check).
+  EXPECT_TRUE(CsrDelta{}.dirty_vertices().empty());
+  constexpr auto kMin = std::numeric_limits<graph::Vertex>::min();
+  constexpr auto kMax = std::numeric_limits<graph::Vertex>::max();
+  CsrDelta wide;
+  wide.insert_edges = {{kMin, kMax}, {-1, 0}};
+  wide.remove_edges = {{kMax, kMax - 1}};
+  EXPECT_EQ(wide.dirty_vertices(), sort_unique_dirty(wide));
+  CsrDelta negative;
+  negative.remove_edges = {{-5, -3}, {-3, -4}, {-4, -4}};
+  EXPECT_EQ(negative.dirty_vertices(), (std::vector<graph::Vertex>{-5, -4, -3}));
 }
 
 // --- RemapDelta factories ----------------------------------------------------

@@ -60,7 +60,7 @@ mp::Cluster make_cluster(int nprocs) {
 // --- FaultInjector rule semantics -------------------------------------------
 
 TEST(FaultInjector, KillRuleFiresExactlyOnce) {
-  mp::FaultInjector inj(FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 3}}});
+  mp::FaultInjector inj(FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 3}}, .frames = {}});
   EXPECT_FALSE(inj.should_die(1, 0.0, 2));
   EXPECT_FALSE(inj.should_die(0, 0.0, 100));  // other ranks unaffected
   EXPECT_TRUE(inj.should_die(1, 0.0, 3));
@@ -69,7 +69,7 @@ TEST(FaultInjector, KillRuleFiresExactlyOnce) {
 
 TEST(FaultInjector, KillRuleByVirtualTime) {
   mp::FaultInjector inj(
-      FaultPlan{.kills = {KillRule{.rank = 0, .at_virtual_time = 5.0}}});
+      FaultPlan{.kills = {KillRule{.rank = 0, .at_virtual_time = 5.0}}, .frames = {}});
   EXPECT_FALSE(inj.should_die(0, 4.999, 0));
   EXPECT_TRUE(inj.should_die(0, 5.0, 0));
   EXPECT_FALSE(inj.should_die(0, 6.0, 0));
@@ -77,6 +77,7 @@ TEST(FaultInjector, KillRuleByVirtualTime) {
 
 TEST(FaultInjector, FrameRuleSkipsThenFaultsACount) {
   mp::FaultInjector inj(FaultPlan{
+      .kills = {},
       .frames = {FrameRule{.from = 0, .to = 1, .after_nth = 2, .count = 2}}});
   EXPECT_FALSE(inj.on_frame(0, 1).touched());  // 1st
   EXPECT_FALSE(inj.on_frame(0, 1).touched());  // 2nd
@@ -87,13 +88,16 @@ TEST(FaultInjector, FrameRuleSkipsThenFaultsACount) {
 }
 
 TEST(FaultInjector, OnlyPayloadDamageUntrusts) {
-  mp::FaultInjector drops(FaultPlan{.frames = {FrameRule{.fault = FrameFault::kDrop}}});
+  mp::FaultInjector drops(
+      FaultPlan{.kills = {}, .frames = {FrameRule{.fault = FrameFault::kDrop}}});
   mp::FaultInjector delays(FaultPlan{
+      .kills = {},
       .frames = {FrameRule{.fault = FrameFault::kDelay, .delay_seconds = 1.0}}});
   mp::FaultInjector truncates(FaultPlan{
+      .kills = {},
       .frames = {FrameRule{.fault = FrameFault::kTruncate, .truncate_to = 4}}});
   mp::FaultInjector corrupts(
-      FaultPlan{.frames = {FrameRule{.fault = FrameFault::kCorrupt}}});
+      FaultPlan{.kills = {}, .frames = {FrameRule{.fault = FrameFault::kCorrupt}}});
   EXPECT_FALSE(drops.untrusts());
   EXPECT_FALSE(delays.untrusts());
   EXPECT_TRUE(truncates.untrusts());
@@ -101,12 +105,12 @@ TEST(FaultInjector, OnlyPayloadDamageUntrusts) {
 }
 
 TEST(FaultInjector, RejectsUnfireablePlans) {
-  EXPECT_THROW(mp::FaultInjector(FaultPlan{.kills = {KillRule{.rank = -1}}}),
+  EXPECT_THROW(mp::FaultInjector(FaultPlan{.kills = {KillRule{.rank = -1}}, .frames = {}}),
                std::invalid_argument);
-  EXPECT_THROW(mp::FaultInjector(FaultPlan{.kills = {KillRule{.rank = 0}}}),
+  EXPECT_THROW(mp::FaultInjector(FaultPlan{.kills = {KillRule{.rank = 0}}, .frames = {}}),
                std::invalid_argument);  // no trigger armed
   EXPECT_THROW(
-      mp::FaultInjector(FaultPlan{.frames = {FrameRule{.count = 0}}}),
+      mp::FaultInjector(FaultPlan{.kills = {}, .frames = {FrameRule{.count = 0}}}),
       std::invalid_argument);
 }
 
@@ -132,7 +136,7 @@ TEST(TransportMembership, MarkDeadIsIdempotentAndBumpsEpochOnce) {
 TEST(FaultPlanCluster, KilledRankSurfacesAsPeerFailedAndSurvivorsAgree) {
   auto cluster = make_cluster(4);
   // Rank 3 dies entering its very first operation (the barrier).
-  cluster.set_fault_plan(FaultPlan{.kills = {KillRule{.rank = 3, .after_sends = 0}}});
+  cluster.set_fault_plan(FaultPlan{.kills = {KillRule{.rank = 3, .after_sends = 0}}, .frames = {}});
   std::vector<int> survivor_count(4, -1);
   cluster.run([&](mp::Process& p) {
     try {
@@ -147,7 +151,9 @@ TEST(FaultPlanCluster, KilledRankSurfacesAsPeerFailedAndSurvivorsAgree) {
           static_cast<int>(agreement.survivors.size());
       // Ordinary communication works again among the survivors.
       if (p.rank() == 0) p.send_value(1, /*tag=*/5, 77);
-      if (p.rank() == 1) EXPECT_EQ(p.recv_value<int>(0, 5), 77);
+      if (p.rank() == 1) {
+        EXPECT_EQ(p.recv_value<int>(0, 5), 77);
+      }
       p.barrier();
     }
   });
@@ -161,7 +167,7 @@ TEST(FaultPlanCluster, KilledRankSurfacesAsPeerFailedAndSurvivorsAgree) {
 TEST(FaultPlanCluster, KillByVirtualTimeMidLoop) {
   auto cluster = make_cluster(3);
   cluster.set_fault_plan(
-      FaultPlan{.kills = {KillRule{.rank = 0, .at_virtual_time = 1.0}}});
+      FaultPlan{.kills = {KillRule{.rank = 0, .at_virtual_time = 1.0}}, .frames = {}});
   cluster.run([&](mp::Process& p) {
     try {
       for (int it = 0; it < 10; ++it) {
@@ -180,7 +186,7 @@ TEST(FaultPlanCluster, KillByVirtualTimeMidLoop) {
 
 TEST(FaultPlanCluster, PlanClearsAndClusterRunsCleanAgain) {
   auto cluster = make_cluster(2);
-  cluster.set_fault_plan(FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 0}}});
+  cluster.set_fault_plan(FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 0}}, .frames = {}});
   cluster.run([](mp::Process& p) {
     if (p.rank() == 1) {
       p.compute(0.0);  // dies here
@@ -198,7 +204,9 @@ TEST(FaultPlanCluster, PlanClearsAndClusterRunsCleanAgain) {
   cluster.transport().reset();
   cluster.run([](mp::Process& p) {
     if (p.rank() == 0) p.send_value(1, 1, 9);
-    if (p.rank() == 1) EXPECT_EQ(p.recv_value<int>(0, 1), 9);
+    if (p.rank() == 1) {
+      EXPECT_EQ(p.recv_value<int>(0, 1), 9);
+    }
   });
   EXPECT_TRUE(cluster.dead_ranks().empty());
 }
@@ -212,6 +220,7 @@ TEST(FaultPlanCluster, DroppedFrameNeverHangsARank) {
   // the run watchdog must fail the job instead. Either way: no hang.
   auto cluster = make_cluster(2);
   cluster.set_fault_plan(FaultPlan{
+      .kills = {},
       .frames = {FrameRule{.from = 0, .to = 1, .fault = FrameFault::kDrop}}});
   if (cluster.transport_kind() == mp::TransportKind::kVirtual) {
     ScopedEnv deadline("STANCE_RUN_DEADLINE_MS", "2000");
@@ -250,6 +259,7 @@ TEST(FaultPlanCluster, DelayedFrameArrivesLateButIntact) {
   constexpr double kDelay = 2.5;
   auto cluster = make_cluster(2);
   cluster.set_fault_plan(FaultPlan{
+      .kills = {},
       .frames = {FrameRule{.from = 0, .to = 1, .fault = FrameFault::kDelay,
                            .delay_seconds = kDelay}}});
   cluster.run([&](mp::Process& p) {
@@ -267,6 +277,7 @@ TEST(FaultPlanCluster, TruncatedFrameSurfacesAsAttributedTransportError) {
   // internal assertion.
   auto cluster = make_cluster(2);
   cluster.set_fault_plan(FaultPlan{
+      .kills = {},
       .frames = {FrameRule{.from = 0, .to = 1, .fault = FrameFault::kTruncate,
                            .truncate_to = 4}}});
   EXPECT_FALSE(cluster.transport().trusted());
@@ -291,6 +302,7 @@ TEST(FaultPlanCluster, TruncatedFrameSurfacesAsAttributedTransportError) {
 TEST(FaultPlanCluster, CorruptedFrameDeliversDeterministicallyDamagedBytes) {
   auto cluster = make_cluster(2);
   cluster.set_fault_plan(FaultPlan{
+      .kills = {},
       .frames = {FrameRule{.from = 0, .to = 1, .fault = FrameFault::kCorrupt}}});
   cluster.run([](mp::Process& p) {
     constexpr std::uint32_t kSent = 0x11223344u;
@@ -323,7 +335,9 @@ TEST(Watchdog, DeadlockedRunFailsWithRankStateDump) {
   // The abort resets the transport: the same cluster must run again.
   cluster.run([](mp::Process& p) {
     if (p.rank() == 0) p.send_value(1, 1, 5);
-    if (p.rank() == 1) EXPECT_EQ(p.recv_value<int>(0, 1), 5);
+    if (p.rank() == 1) {
+      EXPECT_EQ(p.recv_value<int>(0, 1), 5);
+    }
   });
 }
 

@@ -231,6 +231,7 @@ TEST(MailboxStress, DelayedFramesStillMatchInSendOrder) {
   // backend.
   mp::Cluster cluster(sim::MachineSpec::uniform(3));
   cluster.set_fault_plan(FaultPlan{
+      .kills = {},
       .frames = {FrameRule{.from = 1, .to = 0, .after_nth = 0, .count = 50,
                            .fault = FrameFault::kDelay,
                            .delay_seconds = 0.25}}});
@@ -256,7 +257,7 @@ TEST(MailboxStress, KillDuringFloodReleasesReceiverWithPeerFailed) {
   // hang — on every backend.
   mp::Cluster cluster(sim::MachineSpec::uniform(2));
   cluster.set_fault_plan(
-      FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 25}}});
+      FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 25}}, .frames = {}});
   std::atomic<bool> observed{false};
   cluster.run([&](mp::Process& p) {
     try {

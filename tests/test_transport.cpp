@@ -151,7 +151,9 @@ TEST_P(TransportConformance, ShutdownWhileBlockedReleasesAndClusterStaysUsable) 
   // The abort path resets the transport: the same cluster must run again.
   cluster.run([](mp::Process& p) {
     if (p.rank() == 0) p.send_value(3, 5, 123);
-    if (p.rank() == 3) EXPECT_EQ(p.recv_value<int>(0, 5), 123);
+    if (p.rank() == 3) {
+      EXPECT_EQ(p.recv_value<int>(0, 5), 123);
+    }
   });
 }
 
@@ -289,7 +291,9 @@ TEST(TcpTransport, SingleNodeMapNeedsNoSockets) {
                       mp::NodeMap::contiguous(3, 3), TransportKind::kTcp);
   cluster.run([](mp::Process& p) {
     if (p.rank() == 0) p.send_value(2, 1, 11);
-    if (p.rank() == 2) EXPECT_EQ(p.recv_value<int>(0, 1), 11);
+    if (p.rank() == 2) {
+      EXPECT_EQ(p.recv_value<int>(0, 1), 11);
+    }
     p.barrier();
   });
 }
