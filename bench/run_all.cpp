@@ -751,7 +751,7 @@ void bench_pack_unpack_host(bench::JsonReporter& report, bool small, int repeats
   auto time_mode = [&](exec::simd::Mode mode) {
     return best_of(repeats, [&] {
       for (int it = 0; it < inner; ++it) {
-        exec::simd::pack_indexed(src.data(), idx.data(), 0, n, dst.data(), mode);
+        exec::simd::pack_indexed(src.data(), idx.data(), n, dst.data(), mode);
         sink = sink + dst[0];
       }
     });

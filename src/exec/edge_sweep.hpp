@@ -42,21 +42,17 @@ class EdgeSweep {
   static void reference_sweep(const graph::Csr& g, std::span<const double> y,
                               std::span<double> acc);
 
-  /// Apply the unified tuning surface (exec/exec_config.hpp). The coalesce
-  /// plan routes both the gather and the scatter through node-aware frames;
-  /// nullptr returns to per-peer messages. Byte-identical results for every
-  /// configuration. The plan must have been built for this sweep's schedule
-  /// (a plan kept across a remap is the stale-routing bug the fingerprint
+  /// Route both the gather and the scatter through a node-aware coalesce
+  /// plan; nullptr returns to per-peer messages. Byte-identical results
+  /// either way. The plan must have been built for this sweep's schedule (a
+  /// plan kept across a remap is the stale-routing bug the fingerprint
   /// catches here).
-  void configure(const ExecConfig& cfg) {
-    install_plan(cfg.coalesce_plan);
-    cfg_ = cfg;
-    cfg_.remap_delta = nullptr;  // transient; EdgeSweep has no rebind path
-    ws_.configure(cfg_);
+  void set_coalesce_plan(const sched::CoalescePlan* plan) {
+    STANCE_REQUIRE(plan == nullptr ||
+                       plan->schedule_fingerprint == sched::coalesce_fingerprint(sched_),
+                   "set_coalesce_plan: plan was built for a different schedule");
+    plan_ = plan;
   }
-
-  /// The last applied configuration.
-  [[nodiscard]] const ExecConfig& config() const noexcept { return cfg_; }
 
  private:
   const sched::LocalizedGraph& lgraph_;
@@ -68,15 +64,7 @@ class EdgeSweep {
   std::vector<double> ghost_values_;
   std::vector<double> ghost_contrib_;
   ExecWorkspace ws_;  ///< persistent pack/unpack buffers (zero-alloc sweep)
-  ExecConfig cfg_;    ///< last applied configuration
   const sched::CoalescePlan* plan_ = nullptr;  ///< optional node-aware framing
-
-  void install_plan(const sched::CoalescePlan* plan) {
-    STANCE_REQUIRE(plan == nullptr ||
-                       plan->schedule_fingerprint == sched::coalesce_fingerprint(sched_),
-                   "configure: coalesce plan was built for a different schedule");
-    plan_ = plan;
-  }
 };
 
 }  // namespace stance::exec

@@ -11,9 +11,9 @@
 //
 // The pack side (payload[k] = values[list[k]]) runs through the
 // runtime-dispatched SIMD gathers in exec/simd.hpp — byte-identical to the
-// scalar loop, selected by the workspace's configured mode. The unpack and
-// combine sides stay scalar: there is no AVX2 scatter, and per-element
-// combine order is part of the determinism contract.
+// scalar loop, in the process-wide mode. The unpack and combine sides are
+// plain loops: there is no AVX2 scatter, and per-element combine order is
+// part of the determinism contract.
 #pragma once
 
 #include <algorithm>
@@ -67,10 +67,7 @@ void gather(mp::Process& p, const CommSchedule& s, std::span<const T> local,
   const std::span<T> payload = ws.send_buffer<T>(max_send);
   for (std::size_t i = 0; i < s.send_procs.size(); ++i) {
     const auto& items = s.send_items[i];
-    ws.parallel_chunks(items.size(), [&](std::size_t b, std::size_t e) {
-      simd::pack_indexed(local.data(), items.data(), b, e, payload.data(),
-                         ws.simd_mode());
-    });
+    simd::pack_indexed(local.data(), items.data(), items.size(), payload.data());
     p.compute(costs.per_copy_element * static_cast<double>(items.size()));
     p.send(s.send_procs[i], tag,
            std::span<const T>(payload.data(), items.size()));
@@ -79,13 +76,9 @@ void gather(mp::Process& p, const CommSchedule& s, std::span<const T> local,
   for (std::size_t i = 0; i < s.recv_procs.size(); ++i) {
     const auto& slots = s.recv_slots[i];
     p.recv_into(s.recv_procs[i], tag, incoming.subspan(0, slots.size()));
-    // Ghost slots are unique within a message, so chunked unpacking writes
-    // each slot exactly once.
-    ws.parallel_chunks(slots.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t k = b; k < e; ++k) {
-        ghost[static_cast<std::size_t>(slots[k])] = incoming[k];
-      }
-    });
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      ghost[static_cast<std::size_t>(slots[k])] = incoming[k];
+    }
     p.compute(costs.per_copy_element * static_cast<double>(slots.size()));
   }
 }
@@ -120,10 +113,7 @@ void scatter(mp::Process& p, const CommSchedule& s, std::span<const T> ghost,
   const std::span<T> payload = ws.send_buffer<T>(max_send);
   for (std::size_t i = 0; i < s.recv_procs.size(); ++i) {
     const auto& slots = s.recv_slots[i];
-    ws.parallel_chunks(slots.size(), [&](std::size_t b, std::size_t e) {
-      simd::pack_indexed(ghost.data(), slots.data(), b, e, payload.data(),
-                         ws.simd_mode());
-    });
+    simd::pack_indexed(ghost.data(), slots.data(), slots.size(), payload.data());
     p.compute(costs.per_copy_element * static_cast<double>(slots.size()));
     p.send(s.recv_procs[i], tag,
            std::span<const T>(payload.data(), slots.size()));
@@ -132,14 +122,10 @@ void scatter(mp::Process& p, const CommSchedule& s, std::span<const T> ghost,
   for (std::size_t i = 0; i < s.send_procs.size(); ++i) {
     const auto& items = s.send_items[i];
     p.recv_into(s.send_procs[i], tag, incoming.subspan(0, items.size()));
-    // A send list never repeats a local index, so the chunked combine
-    // touches each accumulator exactly once per message.
-    ws.parallel_chunks(items.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t k = b; k < e; ++k) {
-        auto& slot = local[static_cast<std::size_t>(items[k])];
-        slot = combine(slot, incoming[k]);
-      }
-    });
+    for (std::size_t k = 0; k < items.size(); ++k) {
+      auto& slot = local[static_cast<std::size_t>(items[k])];
+      slot = combine(slot, incoming[k]);
+    }
     p.compute(costs.per_copy_element * static_cast<double>(items.size()));
   }
 }
@@ -327,18 +313,13 @@ void gather_coalesced(mp::Process& p, const CommSchedule& s,
       p, plan.gather, plan.my_delegate, s.send_procs, s.send_items, s.recv_procs,
       s.recv_slots, ws, costs, tag,
       [&](const std::vector<Vertex>& items, std::span<T> dst) {
-        ws.parallel_chunks(items.size(), [&](std::size_t b, std::size_t e) {
-          simd::pack_indexed(local.data(), items.data(), b, e, dst.data(),
-                             ws.simd_mode());
-        });
+        simd::pack_indexed(local.data(), items.data(), items.size(), dst.data());
       },
       [&](std::size_t src, std::span<const T> buf) {
         const auto& slots = s.recv_slots[src];
-        ws.parallel_chunks(slots.size(), [&](std::size_t b, std::size_t e) {
-          for (std::size_t k = b; k < e; ++k) {
-            ghost[static_cast<std::size_t>(slots[k])] = buf[k];
-          }
-        });
+        for (std::size_t k = 0; k < slots.size(); ++k) {
+          ghost[static_cast<std::size_t>(slots[k])] = buf[k];
+        }
       });
 }
 
@@ -362,19 +343,14 @@ void scatter_coalesced(mp::Process& p, const CommSchedule& s,
       p, plan.scatter, plan.my_delegate, s.recv_procs, s.recv_slots, s.send_procs,
       s.send_items, ws, costs, tag,
       [&](const std::vector<Vertex>& slots, std::span<T> dst) {
-        ws.parallel_chunks(slots.size(), [&](std::size_t b, std::size_t e) {
-          simd::pack_indexed(ghost.data(), slots.data(), b, e, dst.data(),
-                             ws.simd_mode());
-        });
+        simd::pack_indexed(ghost.data(), slots.data(), slots.size(), dst.data());
       },
       [&](std::size_t src, std::span<const T> buf) {
         const auto& items = s.send_items[src];
-        ws.parallel_chunks(items.size(), [&](std::size_t b, std::size_t e) {
-          for (std::size_t k = b; k < e; ++k) {
-            auto& slot = local[static_cast<std::size_t>(items[k])];
-            slot = combine(slot, buf[k]);
-          }
-        });
+        for (std::size_t k = 0; k < items.size(); ++k) {
+          auto& slot = local[static_cast<std::size_t>(items[k])];
+          slot = combine(slot, buf[k]);
+        }
       });
 }
 

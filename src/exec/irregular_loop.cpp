@@ -32,13 +32,11 @@ void IrregularLoop::rebind(const sched::LocalizedGraph& lgraph,
   lgraph_ = &lgraph;
   sched_ = &sched;
   // The installed plan was fingerprinted against the old schedule — stale by
-  // definition; the caller installs the patched one via configure().
+  // definition; the caller installs the patched one via set_coalesce_plan().
   plan_ = nullptr;
-  cfg_.coalesce_plan = nullptr;
   // Work multipliers were sized and indexed for the old ownership.
   vertex_work_.clear();
   build_slices();
-  rebound_ = true;
   recompute_work();
 }
 

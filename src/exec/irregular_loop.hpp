@@ -71,46 +71,29 @@ class IrregularLoop {
   /// monitor: compute seconds = work / effective speed).
   [[nodiscard]] double work_per_iteration() const noexcept { return work_per_iter_; }
 
-  /// Apply the unified tuning surface (exec/exec_config.hpp): pack threads,
-  /// SIMD mode, prewarm floors, and the optional coalesce plan. The plan
-  /// must outlive this executor and belong to the same schedule (enforced
-  /// via the plan's fingerprint — installing a pre-remap plan on a
-  /// post-remap loop is the stale-routing bug); nullptr routes per-peer
-  /// messages. Results are byte-identical for every configuration.
-  ///
-  /// After a rebind(): pass the driving delta via cfg.remap_delta to keep
-  /// the workspace's prewarm memo (only arenas the delta grew re-provision
-  /// on the next iterate); omit it and the memo is conservatively forgotten,
-  /// re-provisioning from the new schedule's full requirements. The delta
-  /// pointer is transient — never retained past this call.
-  void configure(const ExecConfig& cfg) {
-    install_plan(cfg.coalesce_plan);
-    const bool incremental = cfg.remap_delta != nullptr;
-    cfg_ = cfg;
-    cfg_.remap_delta = nullptr;  // transient: the delta lives on the caller's stack
-    if (rebound_ && !incremental) ws_.reset_prewarm();
-    rebound_ = false;
-    ws_.configure(cfg_);
+  /// Route the ghost exchange through a node-aware coalesce plan
+  /// (sched/coalesce.hpp); nullptr routes per-peer messages. The plan must
+  /// outlive this executor and belong to its schedule (enforced via the
+  /// plan's fingerprint — installing a pre-remap plan on a post-remap loop
+  /// is the stale-routing bug). Results are byte-identical either way.
+  void set_coalesce_plan(const sched::CoalescePlan* plan) {
+    STANCE_REQUIRE(plan == nullptr || plan->schedule_fingerprint ==
+                                          sched::coalesce_fingerprint(*sched_),
+                   "set_coalesce_plan: plan was built for a different schedule");
+    plan_ = plan;
   }
-
-  /// The last applied configuration.
-  [[nodiscard]] const ExecConfig& config() const noexcept { return cfg_; }
 
   /// Repoint this executor at a patched schedule (sched/rebuild_incremental)
   /// without tearing down the warmed workspace — the delta pipeline's
   /// executor step. Drops the installed coalesce plan (stale by definition;
-  /// install the patched one via configure()) and the per-vertex work
-  /// multipliers (sized for the old ownership), and rebuilds the sliced
-  /// refs and the value buffer. Follow with configure() — with
-  /// cfg.remap_delta set for delta-sized re-prewarming, without for a
-  /// conservative full one.
+  /// install the patched one with set_coalesce_plan()) and the per-vertex
+  /// work multipliers (sized for the old ownership), and rebuilds the sliced
+  /// refs and the value buffer. The workspace keeps its prewarm memo, so the
+  /// next iterate re-provisions only what the new schedule grew.
   void rebind(const sched::LocalizedGraph& lgraph, const sched::CommSchedule& sched);
 
   [[nodiscard]] const sched::LocalizedGraph& lgraph() const noexcept { return *lgraph_; }
   [[nodiscard]] const sched::CommSchedule& schedule() const noexcept { return *sched_; }
-
-  /// The persistent workspace (diagnostics: prewarm high-water marks).
-  [[nodiscard]] const ExecWorkspace& workspace() const noexcept { return ws_; }
 
   /// Sequential reference on the full (permuted) graph, for correctness
   /// checks: same update, same order of additions per vertex.
@@ -132,16 +115,7 @@ class IrregularLoop {
   /// nlocal + nghost), then the -0.0 pad slot.
   std::vector<double> yg_;
   ExecWorkspace ws_;  ///< persistent pack/unpack buffers (zero-alloc iterate)
-  ExecConfig cfg_;    ///< last applied configuration
   const sched::CoalescePlan* plan_ = nullptr;  ///< optional node-aware framing
-  bool rebound_ = false;  ///< rebind() happened; next configure() decides prewarm fate
-
-  void install_plan(const sched::CoalescePlan* plan) {
-    STANCE_REQUIRE(plan == nullptr || plan->schedule_fingerprint ==
-                                          sched::coalesce_fingerprint(*sched_),
-                   "configure: coalesce plan was built for a different schedule");
-    plan_ = plan;
-  }
 
   void recompute_work();
   void build_slices();  ///< slice_refs_/slice_width_/yg_ from *lgraph_

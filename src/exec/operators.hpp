@@ -30,13 +30,6 @@ class LaplacianOperator {
   /// Collective. y = A x for the owned rows. One gather per call.
   void apply(mp::Process& p, std::span<const double> x, std::span<double> y);
 
-  /// Apply the unified tuning surface (exec/exec_config.hpp) to the
-  /// gather's workspace — pack threads, SIMD mode, prewarm floors. This is
-  /// also how CG is tuned: conjugate_gradient runs every SpMV through this
-  /// operator. The coalesce_plan field is ignored (the operator's gather is
-  /// always per-peer).
-  void configure(const ExecConfig& cfg) { ws_.configure(cfg); }
-
   [[nodiscard]] graph::Vertex nlocal() const noexcept { return lgraph_.nlocal; }
   [[nodiscard]] double shift() const noexcept { return shift_; }
 

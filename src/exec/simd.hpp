@@ -14,9 +14,10 @@
 // opt-in) still carries them and selects at runtime.
 //
 // A gather is a pure element copy — no arithmetic, no reassociation — so
-// the SIMD path is byte-identical to the scalar loop by construction; the
-// executor determinism oracles (tests/test_simd.cpp) verify that end to
-// end for every executor and pool size.
+// the SIMD path is byte-identical to the scalar loop by construction. The
+// kernel oracle (tests/test_simd.cpp) compares the two paths directly; the
+// executor oracles there check every executor against its sequential
+// reference, and ctest runs them once more under STANCE_SIMD=scalar.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +29,7 @@ namespace stance::exec::simd {
 enum class Mode : std::uint8_t {
   kAuto = 0,   ///< resolve from STANCE_SIMD + CPU probe (the default)
   kScalar,     ///< force the scalar loops
-  kAvx2,       ///< force AVX2 gathers (configure() rejects it if unsupported)
+  kAvx2,       ///< force AVX2 gathers (resolve() rejects it if unsupported)
 };
 
 [[nodiscard]] const char* mode_name(Mode mode) noexcept;
@@ -54,31 +55,29 @@ void pack_gather_u64_avx2(const std::uint64_t* src, const std::int32_t* idx,
                           std::size_t n, std::uint64_t* dst);
 }  // namespace detail
 
-/// dst[k] = src[idx[k]] for k in [begin, end). `mode` kAuto defers to
+/// dst[k] = src[idx[k]] for k in [0, n). `mode` kAuto defers to
 /// dispatch_mode(); 4- and 8-byte trivially-copyable elements take the AVX2
 /// gather when selected, every other shape runs the scalar loop. Indices
 /// are the schedule's Vertex (int32) lists.
 template <typename T>
-inline void pack_indexed(const T* src, const std::int32_t* idx, std::size_t begin,
-                         std::size_t end, T* dst, Mode mode = Mode::kAuto) {
+inline void pack_indexed(const T* src, const std::int32_t* idx, std::size_t n, T* dst,
+                         Mode mode = Mode::kAuto) {
   if constexpr (sizeof(T) == 4 || sizeof(T) == 8) {
     if (mode == Mode::kAuto) mode = dispatch_mode();
     if (mode == Mode::kAvx2) {
       // Byte-punned integer gathers: a gather is a pure copy, so moving the
       // element bits through integer lanes is exact for any payload type.
       if constexpr (sizeof(T) == 8) {
-        detail::pack_gather_u64_avx2(reinterpret_cast<const std::uint64_t*>(src),
-                                     idx + begin, end - begin,
-                                     reinterpret_cast<std::uint64_t*>(dst) + begin);
+        detail::pack_gather_u64_avx2(reinterpret_cast<const std::uint64_t*>(src), idx, n,
+                                     reinterpret_cast<std::uint64_t*>(dst));
       } else {
-        detail::pack_gather_u32_avx2(reinterpret_cast<const std::uint32_t*>(src),
-                                     idx + begin, end - begin,
-                                     reinterpret_cast<std::uint32_t*>(dst) + begin);
+        detail::pack_gather_u32_avx2(reinterpret_cast<const std::uint32_t*>(src), idx, n,
+                                     reinterpret_cast<std::uint32_t*>(dst));
       }
       return;
     }
   }
-  for (std::size_t k = begin; k < end; ++k) {
+  for (std::size_t k = 0; k < n; ++k) {
     dst[k] = src[static_cast<std::size_t>(idx[k])];
   }
 }

@@ -8,45 +8,22 @@
 // subsequent call, so gather/scatter perform zero heap allocations in
 // steady state (verified by tests/test_exec_alloc.cpp).
 //
-// Tuning goes through configure(const ExecConfig&): pack/unpack thread
-// count (a fixed fork/join pool splitting the copy loops into disjoint
-// chunks — chunking is static, so results are byte-identical for every
-// pool size), the SIMD mode for the pack gathers (exec/simd.hpp), and
-// prewarm floors. (The pre-ExecConfig setter shipped one release as a
-// deprecated shim and is gone.)
+// The copy loops run serially on the rank's own thread; the pack gathers
+// take the process-wide SIMD mode (exec/simd.hpp).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "exec/exec_config.hpp"
-#include "exec/simd.hpp"
 #include "mp/process.hpp"
-#include "support/thread_pool.hpp"
 
 namespace stance::exec {
 
 class ExecWorkspace {
  public:
-  /// Apply the unified tuning surface. The coalesce_plan field is ignored
-  /// here — plans are routing state owned by the executors, not the
-  /// workspace. A kAvx2 request on a CPU without AVX2 throws.
-  void configure(const ExecConfig& cfg) {
-    set_pack_threads_impl(cfg.pack_threads, cfg.pack_serial_cutoff);
-    simd_ = simd::resolve(cfg.simd);
-    min_prewarm_count_ = cfg.prewarm_count;
-    min_prewarm_bytes_ = cfg.prewarm_bytes;
-  }
-
-  /// Resolved SIMD mode for the pack gathers (never kAuto after
-  /// configure(); kAuto before, which pack_indexed resolves per call).
-  [[nodiscard]] simd::Mode simd_mode() const noexcept { return simd_; }
-
   /// Idempotent pre-provisioning, called by gather/scatter with the
   /// schedule's worst-case concurrent inbound message pattern. The first
   /// call (or a call that raises the requirement) prefills this rank's
@@ -55,10 +32,11 @@ class ExecWorkspace {
   /// pool has warmed up by chance. Count and bytes are tracked
   /// independently: a call that only raises one dimension re-provisions
   /// and re-memoizes that dimension (regression-tested — the old code
-  /// could wedge the memo when the pool sat at its cap).
+  /// could wedge the memo when the pool sat at its cap). The memo is
+  /// monotone and survives an executor's rebind(): the pool never gives
+  /// buffers back, so a new schedule that needs no more than the memo is
+  /// already covered, and one that needs more re-provisions the growth.
   void prewarm(mp::Process& p, std::size_t count, std::size_t bytes) {
-    count = std::max(count, min_prewarm_count_);
-    bytes = std::max(bytes, min_prewarm_bytes_);
     if (count <= prewarm_count_ && bytes <= prewarm_bytes_) return;
     const std::size_t want_count = std::max(count, prewarm_count_);
     const std::size_t want_bytes = std::max(bytes, prewarm_bytes_);
@@ -73,15 +51,6 @@ class ExecWorkspace {
   /// Satisfied prewarm high-water marks (diagnostics + regression tests).
   [[nodiscard]] std::size_t prewarm_count() const noexcept { return prewarm_count_; }
   [[nodiscard]] std::size_t prewarm_bytes() const noexcept { return prewarm_bytes_; }
-
-  /// Forget the prewarm high-water marks (the arenas stay). A rebind to a
-  /// schedule with no delta calls this so the next exchange re-provisions
-  /// from that schedule's true requirements; delta-driven rebinds skip it —
-  /// the monotone memo then re-provisions only what the delta grew.
-  void reset_prewarm() noexcept {
-    prewarm_count_ = 0;
-    prewarm_bytes_ = 0;
-  }
 
   /// Typed view over the send-side arena, at least `n` elements. Valid
   /// until the next send_buffer() call.
@@ -103,36 +72,7 @@ class ExecWorkspace {
     return send_arena_.size() + recv_arena_.size();
   }
 
-  /// Pack/unpack parallelism, total threads including the caller (set via
-  /// configure(); 1 = serial, no pool at all).
-  [[nodiscard]] unsigned pack_threads() const noexcept {
-    return pool_ ? pool_->threads() : 1;
-  }
-
-  /// Run f(begin, end) over disjoint chunks of [0, n) — on the pool when one
-  /// is attached, inline otherwise. Byte-identical results either way for
-  /// kernels that write each index at most once.
-  template <typename F>
-  void parallel_chunks(std::size_t n, F&& f) {
-    if (pool_) {
-      pool_->parallel_for(n, std::forward<F>(f));
-    } else if (n != 0) {
-      f(std::size_t{0}, n);
-    }
-  }
-
  private:
-  void set_pack_threads_impl(unsigned threads, std::size_t serial_cutoff) {
-    if (threads <= 1) {
-      pool_.reset();
-      return;
-    }
-    if (pool_ && pool_->threads() == threads && pool_->serial_cutoff() == serial_cutoff) {
-      return;
-    }
-    pool_ = std::make_unique<support::ThreadPool>(threads, serial_cutoff);
-  }
-
   template <typename T>
   static std::span<T> carve(std::vector<std::byte>& arena, std::size_t n) {
     const std::size_t bytes = n * sizeof(T);
@@ -146,12 +86,8 @@ class ExecWorkspace {
 
   std::vector<std::byte> send_arena_;
   std::vector<std::byte> recv_arena_;
-  std::unique_ptr<support::ThreadPool> pool_;
-  simd::Mode simd_ = simd::Mode::kAuto;
   std::size_t prewarm_count_ = 0;
   std::size_t prewarm_bytes_ = 0;
-  std::size_t min_prewarm_count_ = 0;
-  std::size_t min_prewarm_bytes_ = 0;
 };
 
 }  // namespace stance::exec

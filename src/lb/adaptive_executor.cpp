@@ -15,7 +15,7 @@ AdaptiveExecutor::AdaptiveExecutor(mp::Process& p, const graph::Csr& g,
                                    partition::IntervalPartition initial,
                                    AdaptiveOptions opts)
     : g_(&g), part_(std::move(initial)), opts_(std::move(opts)),
-      predictor_(opts_.predictor, opts_.ema_alpha, opts_.trend_window) {
+      predictor_(opts_.predictor, opts_.ema_alpha, kTrendWindow) {
   STANCE_REQUIRE(part_.nparts() == p.nprocs(),
                  "AdaptiveExecutor: partition size must match the cluster");
   STANCE_REQUIRE(part_.total() == g.num_vertices(),
@@ -58,23 +58,14 @@ void AdaptiveExecutor::rebuild_from_delta(mp::Process& p,
     ir_ = std::move(next);
     plan_ = std::move(patched);
     loop_->rebind(ir_.lgraph, ir_.schedule);
-    exec::ExecConfig cfg = loop_->config();
-    cfg.coalesce_plan = &plan_;
-    cfg.remap_delta = &delta;  // keep the prewarm memo: only growth re-provisions
-    loop_->configure(cfg);
+    loop_->set_coalesce_plan(&plan_);
     // Unchanged pairs kept their stored verdicts, so the slowdowns the plan
     // was priced under — and the full-rebuild cost estimate the rotation
     // test compares against — both stand.
   } else {
     ir_ = std::move(next);
     loop_->rebind(ir_.lgraph, ir_.schedule);
-    if (coalescing_) {
-      build_plan(p);  // fresh verdicts; conservative re-prewarm (no delta)
-    } else {
-      exec::ExecConfig cfg = loop_->config();
-      cfg.remap_delta = &delta;
-      loop_->configure(cfg);
-    }
+    if (coalescing_) build_plan(p);  // fresh verdicts
   }
   last_delta_ = delta;
 }
@@ -85,9 +76,7 @@ void AdaptiveExecutor::build_plan(mp::Process& p) {
   co.measured =
       opts_.measured_feedback && !measured_.empty() ? &measured_ : nullptr;
   plan_ = sched::coalesce(p, ir_.schedule, opts_.cpu, co);
-  exec::ExecConfig exec_cfg = loop_->config();
-  exec_cfg.coalesce_plan = &plan_;
-  loop_->configure(exec_cfg);
+  loop_->set_coalesce_plan(&plan_);
   // Remember the slowdowns the plan was priced under — both endpoints' —
   // so a later check can tell whether the measured picture drifted enough
   // to re-decide.
@@ -173,14 +162,12 @@ bool AdaptiveExecutor::slowdown_drifted(const mp::Process& p) const {
   for (int n = 0; n < p.nodes().nnodes(); ++n) {
     const double before = plan_slowdowns_[static_cast<std::size_t>(n)];
     const double now = measured_.node_slowdown(n, p.net());
-    if (std::abs(now - before) > opts_.feedback_replan_threshold *
-                                     std::max(before, 1e-12)) {
+    if (std::abs(now - before) > kFeedbackReplanThreshold * std::max(before, 1e-12)) {
       return true;
     }
     const double before_dst = plan_dst_slowdowns_[static_cast<std::size_t>(n)];
     const double now_dst = measured_.dst_node_slowdown(n, p.net());
-    if (std::abs(now_dst - before_dst) > opts_.feedback_replan_threshold *
-                                             std::max(before_dst, 1e-12)) {
+    if (std::abs(now_dst - before_dst) > kFeedbackReplanThreshold * std::max(before_dst, 1e-12)) {
       return true;
     }
   }
@@ -320,7 +307,7 @@ AdaptiveExecutor::CheckOutcome AdaptiveExecutor::check_now(mp::Process& p,
         // Rotation pays for itself when one interval's projected saving
         // covers the plan rebuild (all inputs are allgathered or
         // allreduced, so every rank takes the same branch).
-        if (gain > opts_.rotation_profitability_factor * plan_build_estimate_) {
+        if (gain > kRotationProfitabilityFactor * plan_build_estimate_) {
           p.set_delegates(chosen);
           outcome.rotated = true;
           want_replan = true;

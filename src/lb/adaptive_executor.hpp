@@ -36,6 +36,15 @@
 
 namespace stance::lb {
 
+/// Phases the kTrend load predictor fits its slope over.
+inline constexpr int kTrendWindow = 4;
+/// A delegate rotation is installed when its projected per-interval gain
+/// exceeds this many times the measured plan-rebuild cost.
+inline constexpr double kRotationProfitabilityFactor = 1.0;
+/// Relative drift of a node's measured slowdown (either endpoint) that
+/// triggers a replan without waiting for a remap.
+inline constexpr double kFeedbackReplanThreshold = 0.25;
+
 struct AdaptiveOptions {
   LbOptions lb;
   sched::BuildMethod build = sched::BuildMethod::kSort2;
@@ -47,7 +56,6 @@ struct AdaptiveOptions {
   /// footnote 2 extension; kLast reproduces the paper's behaviour).
   PredictorKind predictor = PredictorKind::kLast;
   double ema_alpha = 0.5;
-  int trend_window = 4;
 
   /// --- node-aware communication re-decision ------------------------------
   /// Route the loop's ghost exchange through node-aware coalesced frames
@@ -58,17 +66,15 @@ struct AdaptiveOptions {
   sched::CoalesceOptions coalesce_opts{};
   /// Re-choose each node's frame delegate every check from the interval's
   /// measured frame cost; install the rotation only when the projected
-  /// per-interval gain exceeds rotation_profitability_factor times the
+  /// per-interval gain exceeds kRotationProfitabilityFactor times the
   /// (measured) plan rebuild cost. Requires `coalesce`.
   bool rotate_delegates = false;
-  double rotation_profitability_factor = 1.0;
   /// Allgather the measured per-node-pair frame costs every check and feed
   /// them into the next sched::coalesce() (kAdaptive verdicts from
   /// observation). Replans without waiting for a remap when a node's
-  /// measured slowdown drifts by more than feedback_replan_threshold
+  /// measured slowdown drifts by more than kFeedbackReplanThreshold
   /// (relative). Requires `coalesce`.
   bool measured_feedback = false;
-  double feedback_replan_threshold = 0.25;
 };
 
 /// Per-rank accounting of one run() (virtual seconds).

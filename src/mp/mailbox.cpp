@@ -52,14 +52,19 @@ void Mailbox::drain_locked() {
     }
     // Ring and overflow are each ticket-ascending, but interleave (a sender
     // that claimed a ticket can land in either path, in either order), so
-    // an append that arrived out of order re-sorts this bucket's live
-    // region. Overflow is the burst path only; steady-state drains append
-    // in order and skip this.
+    // an append that arrived out of order is inserted at its ticket's place
+    // in the bucket's live region, which is sorted before every append.
+    // Overflow is the burst path only; steady-state drains append in order
+    // and skip the insertion.
     const bool unordered = s.q.size() > s.head && e.ticket < s.q.back().ticket;
     s.q.push_back(std::move(e));
     if (unordered) {
-      std::sort(s.q.begin() + static_cast<std::ptrdiff_t>(s.head), s.q.end(),
-                [](const Entry& a, const Entry& b) { return a.ticket < b.ticket; });
+      const auto live = s.q.begin() + static_cast<std::ptrdiff_t>(s.head);
+      const auto last = s.q.end() - 1;
+      const auto at = std::upper_bound(live, last, *last, [](const Entry& a, const Entry& b) {
+        return a.ticket < b.ticket;
+      });
+      std::rotate(at, last, s.q.end());
     }
     stashed_.fetch_add(1, std::memory_order_relaxed);
   };

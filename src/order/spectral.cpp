@@ -214,7 +214,7 @@ std::vector<Vertex> spectral_order(const Csr& g, const SpectralOptions& opts, un
 
   // One pool index per thread, so each index owns its Scratch; thread t
   // takes the contiguous block [L*t/T, L*(t+1)/T) of a level of L nodes.
-  support::ThreadPool pool(threads, /*serial_cutoff=*/1);
+  support::ThreadPool pool(threads);
   std::vector<Scratch> scratch;
   scratch.reserve(threads);
   const std::size_t max_steps = std::min(static_cast<std::size_t>(opts.lanczos_steps), ids.size());

@@ -6,8 +6,9 @@
 // set of global vertices whose *adjacency* changed. Produced by the
 // load balancer's Phase D (pure drift), by graph edits (graph::CsrDelta),
 // or both at once; consumed by sched::rebuild_incremental (send-list
-// splice), sched::patch_coalesce (via the spliced schedules), and
-// exec::ExecConfig::remap_delta (re-prewarm only grown arenas).
+// splice) and sched::patch_coalesce (via the spliced schedules). The
+// executor then rebinds to the spliced schedule and re-prewarms only the
+// arenas it grew.
 #pragma once
 
 #include <vector>

@@ -180,9 +180,7 @@ void Service::execute(std::vector<Job>& batch, std::unique_lock<std::mutex>& loc
     const auto r = static_cast<std::size_t>(p.rank());
     const auto& ir = plan->per_rank[r];
     exec::IrregularLoop loop(ir.lgraph, ir.schedule, spec.config.loop, spec.config.cpu);
-    exec::ExecConfig exec_cfg;
-    if (!plan->coalesce.empty()) exec_cfg.coalesce_plan = &plan->coalesce[r];
-    loop.configure(exec_cfg);
+    if (!plan->coalesce.empty()) loop.set_coalesce_plan(&plan->coalesce[r]);
     std::vector<double> y(static_cast<std::size_t>(part.size(p.rank())));
     for (std::size_t i = 0; i < y.size(); ++i) {
       y[i] = Session::initial_value(

@@ -2,8 +2,8 @@
 
 namespace stance::support {
 
-ThreadPool::ThreadPool(unsigned threads, std::size_t serial_cutoff)
-    : nthreads_(threads == 0 ? 1 : threads), cutoff_(serial_cutoff), errors_(nthreads_) {
+ThreadPool::ThreadPool(unsigned threads)
+    : nthreads_(threads == 0 ? 1 : threads), errors_(nthreads_) {
   workers_.reserve(nthreads_ - 1);
   for (unsigned i = 1; i < nthreads_; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });

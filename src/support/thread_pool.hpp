@@ -1,12 +1,12 @@
-// Fixed-size fork/join pool for data-parallel copy loops.
+// Fixed-size fork/join pool for data-parallel loops.
 //
 // parallel_for(n, f) splits [0, n) into one contiguous chunk per thread
 // (the workers plus the calling thread) and blocks until every chunk ran.
 // Chunk boundaries depend only on n and the thread count, and chunks are
 // disjoint, so any kernel that writes each index at most once produces
 // results byte-identical to the serial loop for every pool size — the
-// property the executor's threaded pack/unpack relies on (verified by
-// tests/test_thread_pool.cpp).
+// property spectral ordering's subtree fan-out relies on (verified by
+// tests/test_thread_pool.cpp and tests/test_ordering.cpp).
 //
 // Steady-state calls perform no heap allocation: the kernel is passed by
 // reference (type-erased into a function pointer + context that outlive the
@@ -37,19 +37,13 @@ class ThreadPool {
  public:
   /// `threads` is the total parallelism including the caller: a pool of k
   /// spawns k-1 workers; a pool of 1 spawns none and runs kernels inline.
-  /// Below `serial_cutoff` items the fork/join handshake costs more than it
-  /// saves, so the kernel runs inline (results are identical either way;
-  /// tests lower it to force the threaded path on small inputs).
-  explicit ThreadPool(unsigned threads = 1, std::size_t serial_cutoff = kDefaultCutoff);
+  explicit ThreadPool(unsigned threads = 1);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] unsigned threads() const noexcept { return nthreads_; }
-  [[nodiscard]] std::size_t serial_cutoff() const noexcept { return cutoff_; }
-
-  static constexpr std::size_t kDefaultCutoff = 2048;
 
   /// Run f(begin, end) over disjoint chunks covering [0, n); returns when
   /// all chunks finished. f is invoked concurrently from pool threads and
@@ -76,7 +70,7 @@ class ThreadPool {
   /// thread_pool.cpp so callers' hot loops do not carry it.
   void run(std::size_t n, Kernel kernel, void* ctx) {
     if (n == 0) return;
-    if (nthreads_ == 1 || n < cutoff_) {
+    if (nthreads_ == 1) {
       kernel(ctx, 0, n);
       return;
     }
@@ -92,7 +86,6 @@ class ThreadPool {
   void worker_loop(unsigned index);
 
   const unsigned nthreads_;
-  const std::size_t cutoff_;
   std::vector<std::exception_ptr> errors_;  ///< one slot per chunk (= thread)
   std::vector<std::thread> workers_;
 

@@ -282,7 +282,7 @@ TEST(Coalesce, IrregularLoopByteIdenticalWithPlan) {
       y[r] = test::seeded_values(static_cast<std::size_t>(s.nlocal), 70 + r);
       loops[r] = std::make_unique<exec::IrregularLoop>(irs[r].lgraph, s);
       if (coalesce) {
-        loops[r]->configure(exec::ExecConfig{.coalesce_plan = &plans[r]});
+        loops[r]->set_coalesce_plan(&plans[r]);
       }
     }
     cluster.run([&](mp::Process& p) {
@@ -314,7 +314,7 @@ TEST(Coalesce, EdgeSweepByteIdenticalWithPlan) {
       acc[r].assign(n, 0.0);
       sweeps[r] = std::make_unique<exec::EdgeSweep>(irs[r].lgraph, s);
       if (coalesce) {
-        sweeps[r]->configure(exec::ExecConfig{.coalesce_plan = &plans[r]});
+        sweeps[r]->set_coalesce_plan(&plans[r]);
       }
     }
     cluster.run([&](mp::Process& p) {
@@ -502,46 +502,6 @@ TEST(AdaptiveCoalesce, KeepsFramesOnSetupBoundAllPairs) {
   }
 }
 
-TEST(Coalesce, CoalescedPathByteIdenticalUnderThreadedPacking) {
-  // Coalescing and the pack/unpack pool compose: same bytes for pool sizes
-  // 1, 2, and 8 with the frame path forced.
-  Rng rng(47);
-  const graph::Csr g = graph::random_delaunay(2200, 47);
-  const auto part = test::random_partition(g.num_vertices(), 6, rng);
-  const auto irs = test::build_all_schedules(g, part);
-  mp::Cluster cluster(sim::MachineSpec::uniform(6), NodeMap::contiguous(6, 3));
-  const auto plans = build_all_plans(cluster, irs);
-
-  auto run_threaded = [&](unsigned threads) {
-    std::vector<std::vector<double>> ghost(6), local(6);
-    std::vector<exec::ExecWorkspace> ws(6);
-    for (std::size_t r = 0; r < 6; ++r) {
-      const auto& s = irs[r].schedule;
-      local[r] = test::seeded_values(static_cast<std::size_t>(s.nlocal), 300 + r);
-      ghost[r].assign(static_cast<std::size_t>(s.nghost), 0.0);
-      ws[r].configure(
-          exec::ExecConfig{.pack_threads = threads, .pack_serial_cutoff = 1});
-    }
-    cluster.run([&](mp::Process& p) {
-      const auto r = static_cast<std::size_t>(p.rank());
-      const auto& s = irs[r].schedule;
-      exec::gather_coalesced<double>(p, s, plans[r], local[r],
-                                     std::span<double>(ghost[r]), ws[r]);
-      exec::scatter_add_coalesced<double>(p, s, plans[r], ghost[r],
-                                          std::span<double>(local[r]), ws[r]);
-    });
-    return std::make_pair(ghost, local);
-  };
-  const auto serial = run_threaded(1);
-  for (const unsigned threads : {2u, 8u}) {
-    const auto pooled = run_threaded(threads);
-    for (std::size_t r = 0; r < 6; ++r) {
-      test::expect_vectors_eq(pooled.first[r], serial.first[r]);
-      test::expect_vectors_eq(pooled.second[r], serial.second[r]);
-    }
-  }
-}
-
 TEST(CoalesceStaleness, FingerprintTracksCommunicationPattern) {
   const auto s1 = sched::all_pairs_schedule(4, 0, 8);
   auto s2 = sched::all_pairs_schedule(4, 0, 8);
@@ -579,8 +539,8 @@ TEST(CoalesceStaleness, PlanMatchesUntilRemapOrRotation) {
 }
 
 TEST(CoalesceStaleness, InstallingMismatchedPlanThrows) {
-  // configure() refuses a plan built for a different schedule — the exact
-  // footgun of keeping an executor's plan across a remap.
+  // set_coalesce_plan() refuses a plan built for a different schedule — the
+  // exact footgun of keeping an executor's plan across a remap.
   Rng rng(29);
   const graph::Csr g = graph::random_delaunay(700, 29);
   const auto part = test::random_partition(g.num_vertices(), 4, rng);
@@ -590,15 +550,14 @@ TEST(CoalesceStaleness, InstallingMismatchedPlanThrows) {
   mp::Cluster cluster(sim::MachineSpec::uniform(4), NodeMap::contiguous(4, 2));
   const auto plans = build_all_plans(cluster, irs);
 
-  const exec::ExecConfig with_plan{.coalesce_plan = &plans[0]};
   exec::IrregularLoop stale(moved_irs[0].lgraph, moved_irs[0].schedule);
-  EXPECT_THROW(stale.configure(with_plan), std::invalid_argument);
+  EXPECT_THROW(stale.set_coalesce_plan(&plans[0]), std::invalid_argument);
   exec::IrregularLoop fresh(irs[0].lgraph, irs[0].schedule);
-  fresh.configure(with_plan);      // matching schedule installs fine
-  fresh.configure(exec::ExecConfig{});  // and nullptr always resets
+  fresh.set_coalesce_plan(&plans[0]);  // matching schedule installs fine
+  fresh.set_coalesce_plan(nullptr);    // and nullptr always resets
 
   exec::EdgeSweep stale_sweep(moved_irs[0].lgraph, moved_irs[0].schedule);
-  EXPECT_THROW(stale_sweep.configure(with_plan), std::invalid_argument);
+  EXPECT_THROW(stale_sweep.set_coalesce_plan(&plans[0]), std::invalid_argument);
 }
 
 TEST(MeasuredCoalesce, SlowdownScalesVerdictAsymmetrically) {

@@ -295,7 +295,6 @@ TEST(IrregularLoopRandomized, ByteIdenticalToReferenceAcrossRebind) {
     check(part, "fresh");
     for (std::size_t r = 0; r < 4; ++r) {
       loops[r]->rebind(rebound_schedules[r].lgraph, rebound_schedules[r].schedule);
-      loops[r]->configure(loops[r]->config());
     }
     check(rebound_part, "rebound");
   }

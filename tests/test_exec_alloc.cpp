@@ -20,7 +20,7 @@
 #include "graph/builders.hpp"
 #include "mp/cluster.hpp"
 #include "mp/mailbox.hpp"
-#include "partition/remap_delta.hpp"
+#include "sched/coalesce.hpp"
 #include "test_util.hpp"
 
 // The replacement operators below deliberately pair malloc with free; once
@@ -106,37 +106,6 @@ TEST(ExecAlloc, GatherScatterSteadyStateIsAllocationFree) {
   }
 }
 
-TEST(ExecAlloc, ThreadedPackUnpackSteadyStateIsAllocationFree) {
-  // ISSUE 3 acceptance: the steady state stays allocation-free with the
-  // pack/unpack thread pool enabled. Cutoff 1 forces every copy loop onto
-  // the pool; worker threads are spawned during setup, and the fork/join
-  // handshake itself must not allocate on the rank thread.
-  Rng rng(77);
-  const graph::Csr g = graph::random_delaunay(1500, 77);
-  const auto part = test::random_partition(g.num_vertices(), 3, rng);
-  const auto results = test::build_all_schedules(g, part);
-
-  mp::Cluster cluster(sim::MachineSpec::uniform(3));
-  std::vector<ExecWorkspace> ws(3);
-  std::vector<std::vector<double>> local(3), ghost(3);
-  for (std::size_t r = 0; r < 3; ++r) {
-    const auto& s = results[r].schedule;
-    local[r].assign(static_cast<std::size_t>(s.nlocal), 1.0 + static_cast<double>(r));
-    ghost[r].assign(static_cast<std::size_t>(s.nghost), 0.0);
-    ws[r].configure(exec::ExecConfig{.pack_threads = 2, .pack_serial_cutoff = 1});
-  }
-
-  const auto counts = measure_steady_state(cluster, [&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    const auto& s = results[r].schedule;
-    exec::gather<double>(p, s, local[r], std::span<double>(ghost[r]), ws[r]);
-    exec::scatter_add<double>(p, s, ghost[r], std::span<double>(local[r]), ws[r]);
-  });
-  for (std::size_t r = 0; r < counts.size(); ++r) {
-    EXPECT_EQ(counts[r], 0u) << "rank " << r << " allocated in threaded steady state";
-  }
-}
-
 TEST(ExecAlloc, CoalescedExchangeSteadyStateIsAllocationFree) {
   // The framed path reuses the same arenas and mailbox pool, so it is
   // allocation-free once the plan exists and the pool is prewarmed.
@@ -202,17 +171,6 @@ TEST(ExecAlloc, PrewarmTracksCountAndBytesIndependently) {
   });
 }
 
-TEST(ExecAlloc, ConfigurePrewarmFloorsClampEveryRequest) {
-  mp::Cluster cluster(sim::MachineSpec::uniform(1));
-  cluster.run([&](mp::Process& p) {
-    ExecWorkspace ws;
-    ws.configure(exec::ExecConfig{.prewarm_count = 8, .prewarm_bytes = 256});
-    ws.prewarm(p, 1, 1);
-    EXPECT_EQ(ws.prewarm_count(), 8u);
-    EXPECT_EQ(ws.prewarm_bytes(), 256u);
-  });
-}
-
 TEST(ExecAlloc, IrregularLoopSteadyStateIsAllocationFree) {
   Rng rng(7);
   const graph::Csr g = graph::random_delaunay(1200, 7);
@@ -238,21 +196,66 @@ TEST(ExecAlloc, IrregularLoopSteadyStateIsAllocationFree) {
   }
 
   // The delta pipeline's executor step: rebind to a new partition's
-  // schedule, configure with the driving delta, warm up, then count again.
-  // The sliced refs are rebuilt in rebind(), never lazily inside iterate.
+  // schedule, warm up, then count again. The sliced refs are rebuilt in
+  // rebind(), never lazily inside iterate.
   const auto moved = test::random_partition(g.num_vertices(), 3, rng);
-  const auto delta = partition::RemapDelta::drift(part, moved);
   const auto rebound = test::build_all_schedules(g, moved);
   for (std::size_t r = 0; r < 3; ++r) {
     loops[r]->rebind(rebound[r].lgraph, rebound[r].schedule);
-    exec::ExecConfig cfg = loops[r]->config();
-    cfg.remap_delta = &delta;
-    loops[r]->configure(cfg);
     y[r].assign(static_cast<std::size_t>(rebound[r].schedule.nlocal), 1.0);
   }
   const auto rebound_counts = measure_steady_state(cluster, sweep);
   for (std::size_t r = 0; r < rebound_counts.size(); ++r) {
     EXPECT_EQ(rebound_counts[r], 0u) << "rank " << r << " allocated after rebind";
+  }
+}
+
+TEST(ExecAlloc, RebindWithFreshCoalescePlanIsAllocationFree) {
+  // A rebind followed by a plan built from scratch (sched::coalesce, not a
+  // patch): the adaptive executor's path when the old plan cannot be
+  // patched (fresh verdicts, or a delegate rotation). The workspace keeps
+  // its prewarm memo across the rebind, so the coalesced exchange's own
+  // requirements must still be provisioned before the measured sweeps.
+  Rng rng(17);
+  const graph::Csr g = graph::random_delaunay(1400, 17);
+  const auto part = test::random_partition(g.num_vertices(), 4, rng);
+  const auto results = test::build_all_schedules(g, part);
+
+  mp::Cluster cluster(sim::MachineSpec::uniform(4), mp::NodeMap::contiguous(4, 2));
+  std::vector<std::unique_ptr<exec::IrregularLoop>> loops(4);
+  std::vector<std::vector<double>> y(4);
+  for (std::size_t r = 0; r < 4; ++r) {
+    loops[r] = std::make_unique<exec::IrregularLoop>(results[r].lgraph,
+                                                     results[r].schedule);
+    y[r].assign(static_cast<std::size_t>(results[r].schedule.nlocal), 1.0);
+  }
+  const auto sweep = [&](mp::Process& p) {
+    const auto r = static_cast<std::size_t>(p.rank());
+    loops[r]->iterate(p, y[r], 1);
+  };
+  const auto counts = measure_steady_state(cluster, sweep);
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    EXPECT_EQ(counts[r], 0u) << "rank " << r << " allocated before rebind";
+  }
+
+  const auto moved = test::random_partition(g.num_vertices(), 4, rng);
+  const auto rebound = test::build_all_schedules(g, moved);
+  std::vector<sched::CoalescePlan> plans(4);
+  cluster.run([&](mp::Process& p) {
+    const auto r = static_cast<std::size_t>(p.rank());
+    plans[r] = sched::coalesce(p, rebound[r].schedule, sim::CpuCostModel::free());
+  });
+  std::size_t frames = 0;
+  for (std::size_t r = 0; r < 4; ++r) {
+    frames += plans[r].gather.send_frames.size();
+    loops[r]->rebind(rebound[r].lgraph, rebound[r].schedule);
+    loops[r]->set_coalesce_plan(&plans[r]);
+    y[r].assign(static_cast<std::size_t>(rebound[r].schedule.nlocal), 1.0);
+  }
+  ASSERT_GT(frames, 0u) << "the fresh plan must route some traffic through frames";
+  const auto rebound_counts = measure_steady_state(cluster, sweep);
+  for (std::size_t r = 0; r < rebound_counts.size(); ++r) {
+    EXPECT_EQ(rebound_counts[r], 0u) << "rank " << r << " allocated after rebind + fresh plan";
   }
 }
 

@@ -1,7 +1,5 @@
-// ThreadPool (support/thread_pool.hpp) and the threaded pack/unpack path:
-// chunk coverage, reuse, exception propagation, and the determinism
-// contract — gather and scatter produce byte-identical results for pool
-// sizes 1, 2, and 8.
+// ThreadPool (support/thread_pool.hpp): chunk coverage, deterministic chunk
+// boundaries, reuse, and exception propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,11 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "exec/gather_scatter.hpp"
-#include "graph/builders.hpp"
-#include "mp/cluster.hpp"
 #include "support/thread_pool.hpp"
-#include "test_util.hpp"
 
 namespace stance {
 namespace {
@@ -26,7 +20,7 @@ using support::ThreadPool;
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(threads, /*serial_cutoff=*/1);
+    ThreadPool pool(threads);
     for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
                                 std::size_t{2047}, std::size_t{2048}, std::size_t{65536}}) {
       std::vector<std::atomic<int>> hits(n);
@@ -43,7 +37,7 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
 TEST(ThreadPool, ChunkBoundariesIndependentOfScheduling) {
   // The same (n, threads) always yields the same chunking: record the chunk
   // a writing thread was given for each index and compare two runs.
-  ThreadPool pool(4, 1);
+  ThreadPool pool(4);
   const std::size_t n = 10000;
   auto chunk_of = [&] {
     std::vector<std::size_t> begin_of(n);
@@ -56,7 +50,7 @@ TEST(ThreadPool, ChunkBoundariesIndependentOfScheduling) {
 }
 
 TEST(ThreadPool, ReusableAcrossManyRuns) {
-  ThreadPool pool(3, 1);
+  ThreadPool pool(3);
   std::vector<std::int64_t> data(4096);
   for (int round = 0; round < 200; ++round) {
     pool.parallel_for(data.size(), [&](std::size_t b, std::size_t e) {
@@ -67,18 +61,9 @@ TEST(ThreadPool, ReusableAcrossManyRuns) {
   }
 }
 
-TEST(ThreadPool, SerialCutoffRunsInline) {
-  ThreadPool pool(4);  // default cutoff 2048
-  std::vector<int> v(100, 0);
-  pool.parallel_for(v.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) v[i] = 1;
-  });
-  EXPECT_EQ(std::accumulate(v.begin(), v.end(), 0), 100);
-}
-
 // --- exception safety ---------------------------------------------------------
-// parallel_for(T, ...) on a T-thread pool with cutoff 1 hands chunk i (index
-// i) to thread i: chunk 0 is the caller's, the rest run on workers.
+// parallel_for(T, ...) on a T-thread pool hands chunk i (index i) to thread
+// i: chunk 0 is the caller's, the rest run on workers.
 
 /// Runs one call where `throwing` chunks throw their index; returns the
 /// index carried by the exception that escaped and checks that every chunk
@@ -106,23 +91,23 @@ int throw_from_chunks(ThreadPool& pool, const std::vector<bool>& throwing) {
 }
 
 TEST(ThreadPool, ThrowOnCallersChunkWaitsForWorkersThenRethrows) {
-  ThreadPool pool(4, 1);
+  ThreadPool pool(4);
   EXPECT_EQ(throw_from_chunks(pool, {true, false, false, false}), 0);
 }
 
 TEST(ThreadPool, ThrowOnWorkerChunkReachesTheCaller) {
-  ThreadPool pool(4, 1);
+  ThreadPool pool(4);
   EXPECT_EQ(throw_from_chunks(pool, {false, false, true, false}), 2);
 }
 
 TEST(ThreadPool, LowestIndexChunkExceptionWins) {
-  ThreadPool pool(4, 1);
+  ThreadPool pool(4);
   EXPECT_EQ(throw_from_chunks(pool, {false, true, false, true}), 1);
   EXPECT_EQ(throw_from_chunks(pool, {true, true, true, true}), 0);
 }
 
 TEST(ThreadPool, UsableAfterAThrow) {
-  ThreadPool pool(3, 1);
+  ThreadPool pool(3);
   for (int round = 0; round < 20; ++round) {
     std::vector<bool> throwing(3, false);
     throwing[static_cast<std::size_t>(round % 3)] = true;
@@ -137,51 +122,9 @@ TEST(ThreadPool, UsableAfterAThrow) {
 }
 
 TEST(ThreadPool, InlineRunPropagatesExceptions) {
-  ThreadPool pool(4);  // below the default cutoff: runs on the caller
+  ThreadPool pool(1);  // no workers: runs on the caller
   const auto throwing = [](std::size_t, std::size_t) { throw std::runtime_error("inline"); };
   EXPECT_THROW(pool.parallel_for(10, throwing), std::runtime_error);
-}
-
-/// One full gather + scatter_add round on every rank with the given pool
-/// size; returns the ghost and local vectors of every rank for bitwise
-/// comparison across pool sizes.
-std::pair<std::vector<std::vector<double>>, std::vector<std::vector<double>>>
-exchange_with_pool(const std::vector<sched::InspectorResult>& results, unsigned threads) {
-  const std::size_t nprocs = results.size();
-  mp::Cluster cluster(sim::MachineSpec::uniform(nprocs));
-  std::vector<std::vector<double>> ghost(nprocs), local(nprocs);
-  std::vector<exec::ExecWorkspace> ws(nprocs);
-  for (std::size_t r = 0; r < nprocs; ++r) {
-    const auto& s = results[r].schedule;
-    local[r] = test::seeded_values(static_cast<std::size_t>(s.nlocal), 1000 + r);
-    ghost[r].assign(static_cast<std::size_t>(s.nghost), 0.0);
-    // Cutoff 1 forces the threaded path even on small per-peer messages.
-    ws[r].configure(
-        exec::ExecConfig{.pack_threads = threads, .pack_serial_cutoff = 1});
-  }
-  cluster.run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    const auto& s = results[r].schedule;
-    exec::gather<double>(p, s, local[r], std::span<double>(ghost[r]), ws[r]);
-    exec::scatter_add<double>(p, s, ghost[r], std::span<double>(local[r]), ws[r]);
-  });
-  return {ghost, local};
-}
-
-TEST(ThreadPool, GatherScatterByteIdenticalForPoolSizes128) {
-  Rng rng(31);
-  const graph::Csr g = graph::random_delaunay(3000, 31);
-  const auto part = test::random_partition(g.num_vertices(), 4, rng);
-  const auto results = test::build_all_schedules(g, part);
-
-  const auto serial = exchange_with_pool(results, 1);
-  for (const unsigned threads : {2u, 8u}) {
-    const auto pooled = exchange_with_pool(results, threads);
-    for (std::size_t r = 0; r < results.size(); ++r) {
-      test::expect_vectors_eq(pooled.first[r], serial.first[r]);
-      test::expect_vectors_eq(pooled.second[r], serial.second[r]);
-    }
-  }
 }
 
 }  // namespace
