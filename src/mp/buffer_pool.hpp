@@ -14,26 +14,33 @@ namespace stance::mp {
 
 class BufferPool {
  public:
-  /// A buffer of exactly `size` bytes, reusing a pooled buffer's capacity
-  /// when one fits. If none fits, the newest pooled buffer is grown — each
-  /// circulating buffer converges to the largest payload it services, after
-  /// which acquires stop allocating. Caller must hold the owner's lock.
+  /// A buffer of exactly `size` bytes: take(size), resized. Caller must
+  /// hold the owner's lock.
   [[nodiscard]] std::vector<std::byte> acquire(std::size_t size) {
+    std::vector<std::byte> buffer = take(size);
+    buffer.resize(size);
+    return buffer;
+  }
+
+  /// A pooled buffer with capacity >= `size` when one fits, else the newest
+  /// pooled buffer (the caller grows it — each circulating buffer converges
+  /// to the largest payload it services, after which acquires stop
+  /// allocating), else a new empty one. Its length is whatever it was
+  /// recycled with. Caller must hold the owner's lock.
+  [[nodiscard]] std::vector<std::byte> take(std::size_t size) {
     for (auto it = buffers_.rbegin(); it != buffers_.rend(); ++it) {
       if (it->capacity() < size) continue;
       std::vector<std::byte> buffer = std::move(*it);
       *it = std::move(buffers_.back());
       buffers_.pop_back();
-      buffer.resize(size);
       return buffer;
     }
     if (!buffers_.empty()) {
       std::vector<std::byte> buffer = std::move(buffers_.back());
       buffers_.pop_back();
-      buffer.resize(size);
       return buffer;
     }
-    return std::vector<std::byte>(size);
+    return {};
   }
 
   /// Return a consumed buffer (bounded; excess buffers are simply freed).

@@ -170,6 +170,11 @@ std::vector<std::byte> Mailbox::acquire(std::size_t size) {
   return pool_.acquire(size);
 }
 
+std::vector<std::byte> Mailbox::acquire_unsized(std::size_t size) {
+  const std::lock_guard<std::mutex> lock(pool_mutex_);
+  return pool_.take(size);
+}
+
 void Mailbox::recycle(std::vector<std::byte> buffer) {
   const std::lock_guard<std::mutex> lock(pool_mutex_);
   pool_.recycle(std::move(buffer));

@@ -89,6 +89,11 @@ class Mailbox {
   /// buffer's storage round-trips instead of being reallocated per message.
   [[nodiscard]] std::vector<std::byte> acquire(std::size_t size);
 
+  /// The buffer acquire(size) would reuse, with its length left as it was
+  /// recycled: for a payload still arriving, which the caller sizes as its
+  /// bytes come in, so a size claimed but never sent commits no memory.
+  [[nodiscard]] std::vector<std::byte> acquire_unsized(std::size_t size);
+
   /// Return a consumed payload buffer to the pool (bounded; excess buffers
   /// are simply freed).
   void recycle(std::vector<std::byte> buffer);

@@ -3,8 +3,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -20,38 +23,35 @@ namespace {
 
 constexpr int kWriteRetries = 3;
 
-/// Read exactly `len` bytes; false on EOF or unrecoverable error.
-bool read_exact(int fd, void* buf, std::size_t len) {
-  auto* p = static_cast<char*>(buf);
-  while (len > 0) {
-    const ssize_t n = ::recv(fd, p, len, 0);
-    if (n > 0) {
-      p += n;
-      len -= static_cast<std::size_t>(n);
+/// Write every byte of `iov` with gathered sendmsg() calls (one, unless the
+/// socket takes a partial write); false on an unrecoverable error, with the
+/// bytes already on the wire accumulated into `progress` (a partially
+/// written frame has desynced the stream and must NOT be retried).
+/// Consumes `iov`. MSG_NOSIGNAL turns a write to a closed peer into EPIPE
+/// instead of killing the process.
+bool write_all(int fd, std::span<iovec> iov, std::size_t& progress) {
+  while (!iov.empty()) {
+    if (iov.front().iov_len == 0) {
+      iov = iov.subspan(1);
       continue;
     }
-    if (n < 0 && errno == EINTR) continue;
-    return false;  // peer closed or socket failed
-  }
-  return true;
-}
-
-/// Write exactly `len` bytes; false on unrecoverable error, with the bytes
-/// already on the wire accumulated into `progress` (a partially-written
-/// frame has desynced the stream and must NOT be retried). MSG_NOSIGNAL
-/// turns a write to a closed peer into EPIPE instead of killing the process.
-bool write_exact(int fd, const void* buf, std::size_t len, std::size_t& progress) {
-  const auto* p = static_cast<const char*>(buf);
-  while (len > 0) {
-    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
-    if (n > 0) {
-      p += n;
-      len -= static_cast<std::size_t>(n);
-      progress += static_cast<std::size_t>(n);
-      continue;
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    msg.msg_iovlen = iov.size();
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
     }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
+    progress += static_cast<std::size_t>(n);
+    for (auto left = static_cast<std::size_t>(n); left > 0;) {
+      iovec& v = iov.front();
+      const std::size_t step = std::min(left, v.iov_len);
+      v.iov_base = static_cast<char*>(v.iov_base) + step;
+      v.iov_len -= step;
+      left -= step;
+      if (v.iov_len == 0) iov = iov.subspan(1);
+    }
   }
   return true;
 }
@@ -111,6 +111,9 @@ TcpTransport::TcpTransport(int nprocs, const NodeMap& nodes)
       set_nodelay(accepted);
       link(i, j).fd = client;    // node i's endpoint toward node j
       link(j, i).fd = accepted;  // node j's endpoint toward node i
+      for (Link* l : {&link(i, j), &link(j, i)}) {
+        l->decode_buffer = std::make_unique_for_overwrite<std::byte[]>(kDecodeBufferBytes);
+      }
     }
   }
   close_quietly(listener);
@@ -120,7 +123,7 @@ TcpTransport::TcpTransport(int nprocs, const NodeMap& nodes)
   for (int n = 0; n < nnodes_; ++n) {
     for (int m = 0; m < nnodes_; ++m) {
       if (n == m) continue;
-      readers_.emplace_back([this, n, m, fd = link(n, m).fd] { reader_loop(n, m, fd); });
+      readers_.emplace_back([this, n, m, &l = link(n, m)] { reader_loop(n, m, l); });
     }
   }
 }
@@ -167,11 +170,11 @@ void TcpTransport::send(Rank from, Rank to, Tag tag, std::span<const std::byte> 
   // immediately.
   int backoff_ms = 1;
   for (int attempt = 0;; ++attempt) {
+    std::array<iovec, 2> iov{
+        iovec{const_cast<WireHeader*>(&header), sizeof(header)},
+        iovec{const_cast<std::byte*>(data.data()), data.size()}};
     std::size_t progress = 0;
-    if (write_exact(l.fd, &header, sizeof(header), progress) &&
-        (data.empty() || write_exact(l.fd, data.data(), data.size(), progress))) {
-      return;
-    }
+    if (write_all(l.fd, iov, progress)) return;
     const int saved_errno = errno;
     if (progress == 0 && attempt < kWriteRetries) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
@@ -214,49 +217,98 @@ void TcpTransport::corrupt_wire(int from_node, int to_node,
                  "corrupt_wire: bad node pair");
   Link& l = link(from_node, to_node);
   std::lock_guard<std::mutex> lock(l.write_mutex);
+  std::array<iovec, 1> iov{iovec{const_cast<std::byte*>(junk.data()), junk.size()}};
   std::size_t progress = 0;
-  if (!write_exact(l.fd, junk.data(), junk.size(), progress)) {
+  if (!write_all(l.fd, iov, progress)) {
     throw TransportError(std::string("tcp transport: wire write failed: ") +
                              std::strerror(errno),
                          /*peer=*/-1, to_node, epoch(), FailCause::kSocket);
   }
 }
 
-void TcpTransport::reader_loop(int node, int peer, int fd) {
+void TcpTransport::reader_loop(int node, int peer, Link& l) {
+  const int fd = l.fd;
+  std::byte* const buf = l.decode_buffer.get();
+  std::size_t begin = 0;  // buf[begin, end) is received but not yet decoded
+  std::size_t end = 0;
   for (;;) {
-    WireHeader header;
-    if (!read_exact(fd, &header, sizeof(header))) return;  // EOF: shutting down
-    const bool header_ok =
-        header.magic == kMagic && header.size <= kMaxFrameBytes &&
-        header.source >= 0 && header.source < nprocs_ && header.dest >= 0 &&
-        header.dest < nprocs_ &&
-        node_of_[static_cast<std::size_t>(header.source)] == peer &&
-        node_of_[static_cast<std::size_t>(header.dest)] == node;
-    if (!header_ok) {
-      wire_dead_.store(true);
-      poison_all(FailNotice{.what = "tcp transport: malformed frame from node " +
-                                    std::to_string(peer) + " (bad header)",
-                            .peer = -1,
-                            .peer_node = peer,
-                            .epoch = epoch(),
-                            .cause = FailCause::kMalformedFrame,
-                            .peer_failed = false});
-      return;  // stream is desynced; stop reading this wire
+    // Decode every complete frame in the buffer.
+    while (end - begin >= sizeof(WireHeader)) {
+      WireHeader header;
+      std::memcpy(&header, buf + begin, sizeof(header));
+      const bool header_ok =
+          header.magic == kMagic && header.size <= kMaxFrameBytes &&
+          header.source >= 0 && header.source < nprocs_ && header.dest >= 0 &&
+          header.dest < nprocs_ &&
+          node_of_[static_cast<std::size_t>(header.source)] == peer &&
+          node_of_[static_cast<std::size_t>(header.dest)] == node;
+      if (!header_ok) {
+        wire_dead_.store(true);
+        poison_all(FailNotice{.what = "tcp transport: malformed frame from node " +
+                                      std::to_string(peer) + " (bad header)",
+                              .peer = -1,
+                              .peer_node = peer,
+                              .epoch = epoch(),
+                              .cause = FailCause::kMalformedFrame,
+                              .peer_failed = false});
+        return;  // stream is desynced; stop reading this wire
+      }
+      const std::size_t size = header.size;
+      const std::byte* const body = buf + begin + sizeof(header);
+      const std::size_t buffered = end - begin - sizeof(header);
+      Mailbox& dest = box(header.dest);
+      if (sizeof(header) + size <= kDecodeBufferBytes) {
+        if (size > buffered) break;  // the rest of this frame is still on the wire
+        std::vector<std::byte> payload = dest.acquire(size);
+        std::copy_n(body, size, payload.begin());
+        begin += sizeof(header) + size;
+        deliver_frame(header, std::move(payload));
+        continue;
+      }
+      // Larger than the decoder buffer: receive the rest of the payload
+      // straight into its pooled buffer, growing it only as bytes arrive.
+      std::vector<std::byte> payload = dest.acquire_unsized(size);
+      payload.resize(std::min(size, std::max(payload.capacity(), kDecodeBufferBytes)));
+      std::copy_n(body, buffered, payload.begin());
+      std::size_t got = buffered;
+      while (got < size) {
+        if (got == payload.size()) payload.resize(std::min(size, 2 * got));
+        const ssize_t n = ::recv(fd, payload.data() + got, payload.size() - got, 0);
+        if (n > 0) {
+          got += static_cast<std::size_t>(n);
+        } else if (n == 0 || errno != EINTR) {
+          return;  // EOF or socket failure: shutting down
+        }
+      }
+      begin = end = 0;
+      deliver_frame(header, std::move(payload));
     }
-    Mailbox& dest = box(header.dest);
-    std::vector<std::byte> payload = dest.acquire(header.size);
-    if (!read_exact(fd, payload.data(), header.size)) return;
-    if (header.epoch != epoch()) {
-      dest.recycle(std::move(payload));  // stale frame from before a reset/failure
-      continue;
+    // Keep the partial frame, at the front, and receive more behind it.
+    if (begin > 0) {
+      std::memmove(buf, buf + begin, end - begin);
+      end -= begin;
+      begin = 0;
     }
-    // The mailbox's epoch floor re-checks staleness at deposit and again at
-    // drain, closing the race where the epoch advances between the check
-    // above and here.
-    dest.deposit(RawMessage{header.source, header.tag, std::move(payload),
-                            header.arrival},
-                 header.epoch);
+    const ssize_t n = ::recv(fd, buf + end, kDecodeBufferBytes - end, 0);
+    if (n > 0) {
+      end += static_cast<std::size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      return;  // EOF: shutting down
+    }
   }
+}
+
+void TcpTransport::deliver_frame(const WireHeader& header, std::vector<std::byte> payload) {
+  Mailbox& dest = box(header.dest);
+  if (header.epoch != epoch()) {
+    dest.recycle(std::move(payload));  // stale frame from before a reset/failure
+    return;
+  }
+  // The mailbox's epoch floor re-checks staleness at deposit and again at
+  // drain, closing the race where the epoch advances between the check
+  // above and here.
+  dest.deposit(RawMessage{header.source, header.tag, std::move(payload), header.arrival},
+               header.epoch);
 }
 
 }  // namespace stance::mp

@@ -11,6 +11,22 @@
 // across the wire, keeping virtual clocks bit-identical to the virtual
 // backend.
 //
+// Framing: a sender writes each frame — header and payload — with one
+// gathered sendmsg(), so under TCP_NODELAY a small frame is one segment.
+// Each connection endpoint's reader thread owns one fixed decoder buffer
+// of kDecodeBufferBytes, allocated at construction: it receives whatever
+// the socket holds and decodes every complete frame in it, copying each
+// payload into a buffer from the destination mailbox's pool, then shifts
+// the leftover partial frame to the front and receives again. A frame
+// larger than the decoder buffer is the one exception: its payload is
+// received straight into its pooled mailbox buffer.
+//
+// Memory bound: the decoder buffer is the reader's only fixed cost. A
+// large payload's buffer grows only as its bytes arrive: to one decoder
+// buffer, then to twice the bytes received so far (unless its pooled
+// buffer already had the capacity). A header that claims kMaxFrameBytes
+// and then goes silent commits no memory for the bytes it never sent.
+//
 // Concurrency: co-resident senders share their node's connection to each
 // peer node under a per-connection write mutex — each frame is written
 // atomically, so TCP's in-order delivery preserves per-(source, tag) FIFO.
@@ -24,8 +40,9 @@
 // with FailCause::kMalformedFrame instead of aborting the process — and
 // permanently fails the transport (a desynced byte stream cannot be
 // re-framed). Socket write failures surface as kSocket errors after a
-// bounded retry with backoff; receives honor the peer deadline, declaring
-// a silent peer dead.
+// bounded retry with backoff, which only happens while no byte of the
+// frame reached the wire; receives honor the peer deadline, declaring a
+// silent peer dead.
 //
 // Epochs: the base class bumps the wire epoch on reset() and on every
 // mark_dead(); reader threads drop in-flight frames from a previous epoch,
@@ -34,7 +51,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -80,14 +99,19 @@ class TcpTransport final : public Transport {
 
   static constexpr std::uint32_t kMagic = 0x53'54'4e'43u;  // "STNC"
   static constexpr std::uint32_t kMaxFrameBytes = 1u << 28;
+  /// Per-endpoint decoder buffer. Frames average well under 1 KiB, so one
+  /// receive usually carries several; a frame (header included) larger
+  /// than this is received straight into its mailbox buffer.
+  static constexpr std::size_t kDecodeBufferBytes = 16 * 1024;
 
  private:
   /// One endpoint of a node-pair connection: this node's fd for traffic to
   /// and from `peer` node. Senders serialize on `write_mutex`; the reader
-  /// thread owns the receive direction.
+  /// thread owns the receive direction and `decode_buffer`.
   struct Link {
     int fd = -1;
     std::mutex write_mutex;
+    std::unique_ptr<std::byte[]> decode_buffer;  ///< kDecodeBufferBytes
   };
 
   [[nodiscard]] Link& link(int from_node, int to_node) {
@@ -95,7 +119,11 @@ class TcpTransport final : public Transport {
                   static_cast<std::size_t>(to_node)];
   }
 
-  void reader_loop(int node, int peer, int fd);
+  /// Receive and decode frames from `peer` node on this node's endpoint
+  /// until EOF or a malformed frame.
+  void reader_loop(int node, int peer, Link& l);
+  /// Hand one received frame to its mailbox, or recycle a stale one.
+  void deliver_frame(const WireHeader& header, std::vector<std::byte> payload);
 
   const int nnodes_;
   std::vector<int> node_of_;  ///< rank -> node, frozen at construction

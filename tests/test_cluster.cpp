@@ -11,6 +11,7 @@
 #include "mp/cluster.hpp"
 #include "mp/errors.hpp"
 #include "sim/machine.hpp"
+#include "test_util.hpp"
 
 namespace stance::mp {
 namespace {
@@ -444,28 +445,7 @@ TEST(Cluster, CommSecondsAccountedOnReceiver) {
 
 // --- strict STANCE_*_MS parsing ---------------------------------------------
 
-/// Scoped override of one environment variable, restored on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+using test::ScopedEnv;
 
 TEST(ClusterEnv, MalformedRunDeadlineFailsLoudly) {
   // The old strtol parsing turned "banana" into 0 == watchdog silently off.

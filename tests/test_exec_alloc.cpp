@@ -8,8 +8,11 @@
 // the allocations its own code path performed between two barriers. The
 // guarantee holds on every backend (all of them deliver through the same
 // pooled Mailboxes), so the STANCE_TRANSPORT=tcp re-run asserts it too.
+// Threads that are not ranks (the tcp backend's frame readers) are counted
+// together in one global counter.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -20,6 +23,7 @@
 #include "graph/builders.hpp"
 #include "mp/cluster.hpp"
 #include "mp/mailbox.hpp"
+#include "mp/transport_tcp.hpp"
 #include "sched/coalesce.hpp"
 #include "test_util.hpp"
 
@@ -35,17 +39,26 @@ namespace {
 
 // Plain zero-initialized TLS: safe to touch from any allocation context.
 thread_local std::size_t t_alloc_count = 0;
+// Set by a test's rank bodies; allocations on every other thread also count
+// in g_other_alloc_count.
+thread_local bool t_rank_thread = false;
+std::atomic<std::size_t> g_other_alloc_count{0};
+
+void count_alloc() {
+  ++t_alloc_count;
+  if (!t_rank_thread) g_other_alloc_count.fetch_add(1, std::memory_order_relaxed);
+}
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  ++t_alloc_count;
+  count_alloc();
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  ++t_alloc_count;
+  count_alloc();
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -274,6 +287,53 @@ TEST(ExecAlloc, MailboxBucketThatNeverEmptiesStopsGrowing) {
   const std::size_t before = t_alloc_count;
   for (int it = 0; it < 4096; ++it) step();
   EXPECT_EQ(t_alloc_count - before, 0u);
+}
+
+TEST(ExecAlloc, TcpWireSteadyStateIsAllocationFree) {
+  // The tcp reader's steady state: each exchange carries one payload larger
+  // than the decoder buffer, received straight into its pooled mailbox
+  // buffer, and a burst of small frames that one receive can hold several
+  // of. Payload buffers are prefilled as an executor's prewarm does; then
+  // neither the rank threads nor the reader threads may allocate. The
+  // reader counter is read only between barriers that no frame crosses:
+  // every frame of a phase is consumed before its closing barrier.
+  constexpr std::size_t kLarge = 3 * mp::TcpTransport::kDecodeBufferBytes + 40;
+  constexpr int kBurst = 6;
+  mp::Cluster cluster(sim::MachineSpec::uniform(4), mp::NodeMap::contiguous(4, 2),
+                      mp::TransportKind::kTcp);
+  std::vector<std::size_t> counts(4);
+  std::size_t reader_allocs = 0;
+  cluster.run([&](mp::Process& p) {
+    t_rank_thread = true;
+    const mp::Rank peer = (p.rank() + 2) % 4;  // the same slot on the other node
+    std::vector<std::byte> large(kLarge, static_cast<std::byte>(p.rank()));
+    std::vector<std::byte> small(96, static_cast<std::byte>(p.rank()));
+    std::vector<std::byte> large_in(kLarge);
+    std::vector<std::byte> small_in(small.size());
+    // A peer may send its next exchange before this rank has consumed the
+    // current one: two exchanges deep.
+    ASSERT_TRUE(p.prefill_recv_buffers(2 * (kBurst + 1), kLarge));
+    const auto exchange = [&] {
+      p.send(peer, /*tag=*/1, large);
+      for (int i = 0; i < kBurst; ++i) p.send(peer, /*tag=*/2 + i, small);
+      p.recv_into(peer, 1, std::span<std::byte>(large_in));
+      for (int i = 0; i < kBurst; ++i) p.recv_into(peer, 2 + i, std::span<std::byte>(small_in));
+    };
+    for (int it = 0; it < kWarmup; ++it) exchange();
+    p.barrier();
+    const std::size_t others_before = g_other_alloc_count.load();
+    p.barrier();
+    const std::size_t before = t_alloc_count;
+    for (int it = 0; it < kMeasured; ++it) exchange();
+    counts[static_cast<std::size_t>(p.rank())] = t_alloc_count - before;
+    p.barrier();
+    if (p.rank() == 0) reader_allocs = g_other_alloc_count.load() - others_before;
+    EXPECT_EQ(large_in[kLarge - 1], static_cast<std::byte>(peer));
+  });
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    EXPECT_EQ(counts[r], 0u) << "rank " << r << " allocated in steady state";
+  }
+  EXPECT_EQ(reader_allocs, 0u) << "tcp reader threads allocated in steady state";
 }
 
 TEST(ExecAlloc, EdgeSweepSteadyStateIsAllocationFree) {

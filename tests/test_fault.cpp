@@ -29,28 +29,7 @@ using mp::FrameFault;
 using mp::FrameRule;
 using mp::KillRule;
 
-/// Scoped environment override restoring the previous value on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+using test::ScopedEnv;
 
 mp::Cluster make_cluster(int nprocs) {
   return mp::Cluster(sim::MachineSpec::uniform(static_cast<std::size_t>(nprocs)),

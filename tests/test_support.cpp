@@ -15,6 +15,7 @@
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "test_util.hpp"
 
 namespace stance {
 namespace {
@@ -344,32 +345,7 @@ TEST(CliArgs, BoolFalseSpellings) {
 
 // --- strict environment parsing --------------------------------------------
 
-/// Scoped override of one environment variable, restored on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+using test::ScopedEnv;
 
 constexpr const char* kVar = "STANCE_TEST_ENV_INT";
 

@@ -5,11 +5,19 @@
 // nodes (intra- and inter-node pairs), and the TCP backend on one node
 // (every pair co-resident, no sockets), plus TCP-only failure-injection
 // tests (malformed wire frames must surface as recoverable
-// mp::TransportError).
+// mp::TransportError) and seeded oracles for the tcp frame decoder (frames
+// cut at random offsets, mutated headers, a forged frame size).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -21,6 +29,7 @@
 #include "mp/errors.hpp"
 #include "mp/transport_tcp.hpp"
 #include "sched/coalesce.hpp"
+#include "support/assert.hpp"
 #include "test_util.hpp"
 
 namespace stance {
@@ -317,6 +326,203 @@ TEST(TcpTransport, OneNodeSilentPeerIsDeclaredDeadByDeadline) {
     }
   });
   EXPECT_EQ(cluster.dead_ranks(), (std::vector<mp::Rank>{0}));
+}
+
+// --- TCP-only: the frame decoder ---------------------------------------------
+
+using WireHeader = mp::TcpTransport::WireHeader;
+constexpr std::size_t kDecodeBytes = mp::TcpTransport::kDecodeBufferBytes;
+
+/// One wire frame as TcpTransport::send writes it: header, then payload.
+struct Frame {
+  WireHeader header;
+  std::vector<std::byte> payload;
+};
+
+Frame make_frame(mp::Rank from, mp::Rank to, mp::Tag tag, std::size_t size,
+                 std::uint32_t epoch, Rng& rng) {
+  Frame f{WireHeader{mp::TcpTransport::kMagic, epoch, from, to, tag,
+                     static_cast<std::uint32_t>(size), 0.0},
+          std::vector<std::byte>(size)};
+  for (auto& b : f.payload) b = static_cast<std::byte>(rng());
+  return f;
+}
+
+/// Append `header` and `payload` to `wire` as raw bytes.
+void encode(const WireHeader& header, std::span<const std::byte> payload,
+            std::vector<std::byte>& wire) {
+  const auto* h = reinterpret_cast<const std::byte*>(&header);
+  wire.insert(wire.end(), h, h + sizeof(header));
+  wire.insert(wire.end(), payload.begin(), payload.end());
+}
+
+mp::TcpTransport& tcp_of(mp::Cluster& cluster) {
+  auto* tcp = dynamic_cast<mp::TcpTransport*>(&cluster.transport());
+  STANCE_REQUIRE(tcp != nullptr, "cluster does not run the tcp backend");
+  return *tcp;
+}
+
+/// Resident set size of this process in bytes.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t total_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(TcpDecoder, FramesCutAtRandomOffsetsArriveByteExactInOrder) {
+  // Valid frames from both node-0 ranks to both node-1 ranks, written as one
+  // byte stream cut at seeded offsets: single bytes and cuts inside headers,
+  // and writes carrying several frames. Sizes include an empty payload, the
+  // largest frame the decoder buffer holds, one byte past it, and frames
+  // several buffers long, so every decode path sees split input. Every
+  // payload must arrive byte-exact and in per-(source, tag) order.
+  test::ScopedEnv deadline("STANCE_RUN_DEADLINE_MS", "30000");
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    auto cluster = make_cluster(TransportKind::kTcp);
+    mp::TcpTransport& tcp = tcp_of(cluster);
+    const std::vector<std::size_t> edge_sizes{0, kDecodeBytes - sizeof(WireHeader),
+                                              kDecodeBytes - sizeof(WireHeader) + 1,
+                                              3 * kDecodeBytes + 7};
+    std::vector<Frame> frames;
+    std::vector<std::byte> wire;
+    for (int i = 0; i < 80; ++i) {
+      const std::size_t size = i < static_cast<int>(edge_sizes.size())
+                                   ? edge_sizes[static_cast<std::size_t>(i)]
+                                   : rng.below(1500);
+      frames.push_back(make_frame(static_cast<mp::Rank>(rng.below(2)),
+                                  static_cast<mp::Rank>(2 + rng.below(2)),
+                                  static_cast<mp::Tag>(1 + rng.below(3)), size,
+                                  tcp.epoch(), rng));
+    }
+    shuffle(frames, rng);
+    for (const Frame& f : frames) encode(f.header, f.payload, wire);
+    std::vector<std::size_t> received(4, 0);
+    cluster.run([&](mp::Process& p) {
+      if (p.rank() == 0) {
+        for (std::size_t at = 0; at < wire.size();) {
+          const std::size_t len = std::min<std::size_t>(
+              wire.size() - at, rng.below(4) == 0 ? 1 + rng.below(40) : 1 + rng.below(5000));
+          tcp.corrupt_wire(0, 1, std::span<const std::byte>(wire).subspan(at, len));
+          at += len;
+          if (rng.below(3) == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+      }
+      if (p.rank() < 2) return;
+      for (const Frame& f : frames) {
+        if (f.header.dest != p.rank()) continue;
+        mp::RawMessage m = p.recv_raw(f.header.source, f.header.tag);
+        EXPECT_EQ(m.payload, f.payload) << "seed " << seed << " rank " << p.rank();
+        ++received[static_cast<std::size_t>(p.rank())];
+        p.recycle(std::move(m));
+      }
+    });
+    EXPECT_EQ(received[2] + received[3], frames.size()) << "seed " << seed;
+  }
+}
+
+TEST(TcpDecoder, MutatedHeadersFailCleanlyWithinTheDeadline) {
+  // A damaged frame A, then a valid frame B, on a fresh wire per case. A's
+  // header has one field mutated (magic, source, dest, size, epoch, tag),
+  // or A is cut short before B. Rank 2 receives A (when its header was
+  // mutated) and then B with the expected sizes: each receive must return
+  // the original bytes or raise TransportError/PeerFailed within about the
+  // peer deadline. Nothing may crash or hang.
+  test::ScopedEnv deadline("STANCE_RUN_DEADLINE_MS", "10000");
+  constexpr int kTimeoutMs = 50;
+  enum Field { kMagic, kSource, kDest, kSize, kEpoch, kTag, kTruncate, kFields };
+  Rng rng(2024);
+  const auto pick = [&](std::initializer_list<std::int64_t> values) {
+    return *(values.begin() + rng.below(values.size()));
+  };
+  int failed = 0;
+  int intact = 0;
+  for (int c = 0; c < 6 * kFields; ++c) {
+    const auto field = static_cast<Field>(c % kFields);
+    auto cluster = make_cluster(TransportKind::kTcp);
+    mp::TcpTransport& tcp = tcp_of(cluster);
+    cluster.transport().set_peer_timeout_ms(kTimeoutMs);
+    const std::uint32_t e = tcp.epoch();
+    const Frame a = make_frame(0, 2, 1, 1 + rng.below(3000), e, rng);
+    const Frame b = make_frame(0, 2, 2, 200, e, rng);
+    const auto size = static_cast<std::int64_t>(a.payload.size());
+    WireHeader bad = a.header;
+    switch (field) {
+      case kMagic: bad.magic ^= 1u << rng.below(32); break;
+      case kSource: bad.source = static_cast<std::int32_t>(pick({-1, 1, 2, 3, 4, INT_MIN})); break;
+      case kDest: bad.dest = static_cast<std::int32_t>(pick({-1, 0, 1, 3, 4, INT_MAX})); break;
+      case kSize:
+        bad.size = static_cast<std::uint32_t>(
+            pick({0, size - 1, size + 1, size / 2, size + 232, mp::TcpTransport::kMaxFrameBytes,
+                  mp::TcpTransport::kMaxFrameBytes + 1ll, UINT32_MAX}));
+        break;
+      case kEpoch: bad.epoch = e + static_cast<std::uint32_t>(pick({1, -1, 1 << 20})); break;
+      case kTag: bad.tag = static_cast<std::int32_t>(pick({2, 3, -1, INT_MAX})); break;
+      case kTruncate: case kFields: break;
+    }
+    std::vector<std::byte> wire;
+    encode(bad, a.payload, wire);
+    if (field == kTruncate) wire.resize(rng.below(wire.size()));
+    encode(b.header, b.payload, wire);
+
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      // A failed receive escapes the run, so a frame the mutation sent to
+      // another rank or key is not left behind as a missing receive.
+      cluster.run([&](mp::Process& p) {
+        if (p.rank() == 0) tcp.corrupt_wire(0, 1, wire);
+        if (p.rank() != 2) return;
+        std::vector<std::byte> got_a(a.payload.size());
+        std::vector<std::byte> got_b(b.payload.size());
+        if (field != kTruncate) {
+          p.recv_into(0, 1, std::span<std::byte>(got_a));
+          EXPECT_EQ(got_a, a.payload) << "case " << c;
+        }
+        p.recv_into(0, 2, std::span<std::byte>(got_b));
+        EXPECT_EQ(got_b, b.payload) << "case " << c;
+      });
+      ++intact;
+    } catch (const mp::TransportError&) {  // PeerFailed included
+      ++failed;
+    }
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    EXPECT_LT(ms, 40 * kTimeoutMs) << "case " << c << " took " << ms << " ms";
+  }
+  EXPECT_EQ(failed + intact, 6 * kFields);
+  EXPECT_GT(failed, 5 * kFields);  // only a truncation that drops all of A leaves B intact
+}
+
+TEST(TcpDecoder, ForgedFrameSizeCommitsNoMemory) {
+  // A valid header claiming the largest legal payload, then silence: the
+  // reader must not commit memory for bytes that never arrive, and the
+  // blocked receiver must fail with PeerFailed once the peer deadline runs
+  // out.
+  auto cluster = make_cluster(TransportKind::kTcp);
+  mp::TcpTransport& tcp = tcp_of(cluster);
+  cluster.transport().set_peer_timeout_ms(100);
+  const WireHeader forged{mp::TcpTransport::kMagic, tcp.epoch(), 0, 2, 1,
+                          mp::TcpTransport::kMaxFrameBytes, 0.0};
+  std::vector<std::byte> wire;
+  encode(forged, {}, wire);
+  const std::size_t before = resident_bytes();
+  bool peer_failed = false;
+  cluster.run([&](mp::Process& p) {
+    if (p.rank() == 0) tcp.corrupt_wire(0, 1, wire);
+    if (p.rank() != 2) return;
+    try {
+      (void)p.recv_raw(0, 1);
+    } catch (const mp::PeerFailed& e) {
+      peer_failed = e.peer() == 0 && e.cause() == mp::FailCause::kTimeout;
+    }
+  });
+  EXPECT_TRUE(peer_failed);
+  const std::size_t after = resident_bytes();
+  EXPECT_LT(after, before + (std::size_t{32} << 20))
+      << "resident set grew by " << (after - before) << " bytes";
 }
 
 TEST(TransportFactory, EnvSelectionAndValidation) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "graph/builders.hpp"
@@ -58,5 +60,35 @@ void expect_vectors_eq(const std::vector<T>& actual,
     EXPECT_EQ(actual[i], golden[i]) << "index " << i;
   }
 }
+
+/// Scoped override of one environment variable (unset for a null
+/// `value`), restored on destruction.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_, saved_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::string saved_;
+  bool had_ = false;
+};
 
 }  // namespace stance::test
