@@ -20,7 +20,6 @@
 #include "bench_common.hpp"
 #include "exec/gather_scatter.hpp"
 #include "exec/irregular_loop.hpp"
-#include "exec/simd.hpp"
 #include "mp/mailbox.hpp"
 #include "graph/builders.hpp"
 #include "lb/adaptive_executor.hpp"
@@ -728,14 +727,11 @@ void bench_recovery(bench::JsonReporter& report, bool small) {
             << result.costs.restore_virtual_seconds << " s (oracle ok)\n";
 }
 
-/// Host-seconds microbench of the SIMD pack kernel (ISSUE 9): the schedule's
-/// pack loop — dst[k] = src[idx[k]] over a scrambled index list — at a
-/// cache-resident shape (4096 doubles, the per-peer message size regime the
-/// executors actually pack), scalar loop vs the AVX2 gather. Wall-clock, so
-/// it sits under check_regression.py's --host-tolerance gate; the shape is
-/// L1/L2-resident on purpose — at memory-bound sizes the gather's advantage
-/// collapses into bandwidth and the comparison measures DRAM, not the
-/// kernel.
+/// Host-seconds microbench of the executors' pack loop (exec::pack_indexed):
+/// dst[k] = src[idx[k]] over a scrambled index list at a cache-resident shape
+/// (4096 doubles, the per-peer message size regime the executors actually
+/// pack). Wall-clock, so it sits under check_regression.py's
+/// --host-tolerance gate.
 void bench_pack_unpack_host(bench::JsonReporter& report, bool small, int repeats) {
   const std::size_t n = 4096;
   const int inner = small ? 500 : 2000;
@@ -748,33 +744,18 @@ void bench_pack_unpack_host(bench::JsonReporter& report, bool small, int repeats
   for (auto& v : src) v = rng.uniform(-1.0, 1.0);
 
   volatile double sink = 0.0;
-  auto time_mode = [&](exec::simd::Mode mode) {
-    return best_of(repeats, [&] {
-      for (int it = 0; it < inner; ++it) {
-        exec::simd::pack_indexed(src.data(), idx.data(), n, dst.data(), mode);
-        sink = sink + dst[0];
-      }
-    });
-  };
-  const double scalar_s = time_mode(exec::simd::Mode::kScalar);
-  const bool avx2 = exec::simd::avx2_supported();
-  // Without AVX2 both columns time the scalar loop: the entry stays present
-  // (the gate fails on missing entries) and honestly reports speedup ~1.
-  const double simd_s = avx2 ? time_mode(exec::simd::Mode::kAvx2) : scalar_s;
+  const double scalar_s = best_of(repeats, [&] {
+    for (int it = 0; it < inner; ++it) {
+      exec::pack_indexed(src.data(), idx.data(), n, dst.data());
+      sink = sink + dst[0];
+    }
+  });
 
   report.entry("pack_unpack_host")
       .field("elements", n)
       .field("inner_reps", static_cast<long long>(inner))
-      .field("simd_mode", std::string(exec::simd::mode_name(
-                 avx2 ? exec::simd::Mode::kAvx2 : exec::simd::Mode::kScalar)))
-      .field("scalar_host_seconds", scalar_s)
-      .field("simd_host_seconds", simd_s)
-      .field("host_speedup", scalar_s / simd_s);
-  std::cout << "pack_unpack_host: scalar " << scalar_s << " s, simd " << simd_s
-            << " s, speedup " << scalar_s / simd_s << "x ("
-            << exec::simd::mode_name(avx2 ? exec::simd::Mode::kAvx2
-                                          : exec::simd::Mode::kScalar)
-            << ")\n";
+      .field("scalar_host_seconds", scalar_s);
+  std::cout << "pack_unpack_host: " << scalar_s << " s\n";
 }
 
 /// Host-seconds Figure-8 sweep on the spectral-ordered paper mesh: the

@@ -306,30 +306,18 @@ class CheckRegressionTest(unittest.TestCase):
         self.assertIn("warm_vs_cold_virtual_speedup", violations[0])
 
     def test_committed_baseline_carries_the_simd_pack_entry(self):
-        # The SIMD pack/unpack microbench is host-gated: the committed
-        # baseline must carry both columns plus the speedup (so a future
-        # run that loses the vector path trips the host budget), and the
-        # committed run must show the SIMD path actually winning.
+        # The pack-loop microbench is host-gated: the committed baseline
+        # must carry its timing column, and the column must stay
+        # host-classified, since a rename that drops it out of the host
+        # predicate would silently ungate it.
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         entries = check_regression.load_entries(
             os.path.join(repo_root, "BENCH_schedule.json"))
         self.assertIn("pack_unpack_host", entries)
         pack = entries["pack_unpack_host"]
-        for field in ("scalar_host_seconds", "simd_host_seconds",
-                      "host_speedup", "simd_mode"):
-            self.assertIn(field, pack)
-        # Every gated field must be host-classified — a rename that drops a
-        # column out of the host predicate would silently ungate it.
-        for field in ("scalar_host_seconds", "simd_host_seconds",
-                      "host_speedup"):
-            self.assertIsNotNone(check_regression.field_budget(
-                field, pack[field], 0.25, 0.40))
-        # The margin is hardware-dependent (gather throughput varies a lot
-        # across cores), so only pin that the vector path is not a loss;
-        # the 40% host budget catches real regressions against the
-        # committed run.
-        if pack["simd_mode"] != "scalar":
-            self.assertGreater(pack["host_speedup"], 1.0)
+        self.assertIn("scalar_host_seconds", pack)
+        self.assertIsNotNone(check_regression.field_budget(
+            "scalar_host_seconds", pack["scalar_host_seconds"], 0.25, 0.40))
 
     def test_committed_baseline_carries_the_mailbox_throughput_entry(self):
         # The lock-free mailbox bench is host-gated against the mutex+cv

@@ -9,18 +9,14 @@
 // distinct message tag so interleaved phases (e.g. a sweep's gather racing
 // an operator's gather on a buffered-send cluster) can never cross-match.
 //
-// The pack side (payload[k] = values[list[k]]) runs through the
-// runtime-dispatched SIMD gathers in exec/simd.hpp — byte-identical to the
-// scalar loop, in the process-wide mode. The unpack and combine sides are
-// plain loops: there is no AVX2 scatter, and per-element combine order is
-// part of the determinism contract.
+// Pack (payload[k] = values[list[k]]), unpack and combine are plain loops;
+// per-element combine order is part of the determinism contract.
 #pragma once
 
 #include <algorithm>
 #include <functional>
 #include <span>
 
-#include "exec/simd.hpp"
 #include "exec/workspace.hpp"
 #include "mp/process.hpp"
 #include "sched/coalesce.hpp"
@@ -42,6 +38,14 @@ inline constexpr mp::Tag kLoopGatherTag = 0x7e000011;
 inline constexpr mp::Tag kSweepGatherTag = 0x7e000012;
 inline constexpr mp::Tag kSweepScatterTag = 0x7e000013;
 inline constexpr mp::Tag kOperatorGatherTag = 0x7e000014;
+
+/// dst[k] = src[idx[k]] for k in [0, n): the pack loop of every executor.
+template <typename T>
+inline void pack_indexed(const T* src, const Vertex* idx, std::size_t n, T* dst) {
+  for (std::size_t k = 0; k < n; ++k) {
+    dst[k] = src[static_cast<std::size_t>(idx[k])];
+  }
+}
 
 /// Collective. `local` is this rank's owned values (size nlocal); on return
 /// `ghost` (size nghost) holds the referenced off-processor values. `ws`
@@ -67,7 +71,7 @@ void gather(mp::Process& p, const CommSchedule& s, std::span<const T> local,
   const std::span<T> payload = ws.send_buffer<T>(max_send);
   for (std::size_t i = 0; i < s.send_procs.size(); ++i) {
     const auto& items = s.send_items[i];
-    simd::pack_indexed(local.data(), items.data(), items.size(), payload.data());
+    pack_indexed(local.data(), items.data(), items.size(), payload.data());
     p.compute(costs.per_copy_element * static_cast<double>(items.size()));
     p.send(s.send_procs[i], tag,
            std::span<const T>(payload.data(), items.size()));
@@ -113,7 +117,7 @@ void scatter(mp::Process& p, const CommSchedule& s, std::span<const T> ghost,
   const std::span<T> payload = ws.send_buffer<T>(max_send);
   for (std::size_t i = 0; i < s.recv_procs.size(); ++i) {
     const auto& slots = s.recv_slots[i];
-    simd::pack_indexed(ghost.data(), slots.data(), slots.size(), payload.data());
+    pack_indexed(ghost.data(), slots.data(), slots.size(), payload.data());
     p.compute(costs.per_copy_element * static_cast<double>(slots.size()));
     p.send(s.recv_procs[i], tag,
            std::span<const T>(payload.data(), slots.size()));
@@ -313,7 +317,7 @@ void gather_coalesced(mp::Process& p, const CommSchedule& s,
       p, plan.gather, plan.my_delegate, s.send_procs, s.send_items, s.recv_procs,
       s.recv_slots, ws, costs, tag,
       [&](const std::vector<Vertex>& items, std::span<T> dst) {
-        simd::pack_indexed(local.data(), items.data(), items.size(), dst.data());
+        pack_indexed(local.data(), items.data(), items.size(), dst.data());
       },
       [&](std::size_t src, std::span<const T> buf) {
         const auto& slots = s.recv_slots[src];
@@ -343,7 +347,7 @@ void scatter_coalesced(mp::Process& p, const CommSchedule& s,
       p, plan.scatter, plan.my_delegate, s.recv_procs, s.recv_slots, s.send_procs,
       s.send_items, ws, costs, tag,
       [&](const std::vector<Vertex>& slots, std::span<T> dst) {
-        simd::pack_indexed(ghost.data(), slots.data(), slots.size(), dst.data());
+        pack_indexed(ghost.data(), slots.data(), slots.size(), dst.data());
       },
       [&](std::size_t src, std::span<const T> buf) {
         const auto& items = s.send_items[src];

@@ -8,8 +8,7 @@
 // subsequent call, so gather/scatter perform zero heap allocations in
 // steady state (verified by tests/test_exec_alloc.cpp).
 //
-// The copy loops run serially on the rank's own thread; the pack gathers
-// take the process-wide SIMD mode (exec/simd.hpp).
+// The pack and unpack copy loops run serially on the rank's own thread.
 #pragma once
 
 #include <algorithm>

@@ -9,6 +9,8 @@ namespace {
 
 constexpr mp::Tag kLoadTag = 0x7d000001;
 constexpr mp::Tag kDecisionTag = 0x7d000002;
+/// The rank that gathers the loads and decides under kCentralized.
+constexpr Rank kControllerRank = 0;
 
 /// Wire form of a decision: [remap, predicted_current, predicted_new,
 /// remap_cost, p, size_0..size_{p-1}, arr_0..arr_{p-1}]. Doubles carry the
@@ -79,13 +81,12 @@ LbDecision decide(const IntervalPartition& current, std::span<const double> time
     t_cur = std::max(t_cur, static_cast<double>(current.size(static_cast<Rank>(r))) * tpi[r]);
   }
 
-  // Capability-proportional target sizes; MCR (or the current arrangement)
-  // lays them out to minimize data movement.
+  // Capability-proportional target sizes; MCR lays them out to minimize
+  // data movement.
   std::vector<double> capability(p);
   for (std::size_t r = 0; r < p; ++r) capability[r] = 1.0 / tpi[r];
   const IntervalPartition target =
-      opts.use_mcr ? partition::repartition_mcr(current, capability, opts.objective)
-                   : partition::repartition_same_arrangement(current, capability);
+      partition::repartition_mcr(current, capability, opts.objective);
 
   double t_new = 0.0;
   for (std::size_t r = 0; r < p; ++r) {
@@ -110,8 +111,6 @@ LbDecision decide(const IntervalPartition& current, std::span<const double> time
 
 LbDecision load_balance_check(mp::Process& p, const IntervalPartition& current,
                               double my_time_per_item, const LbOptions& opts) {
-  STANCE_REQUIRE(opts.controller >= 0 && opts.controller < p.nprocs(),
-                 "load_balance_check: controller rank out of range");
   const Rank me = p.rank();
 
   if (opts.strategy == LbStrategy::kDistributed) {
@@ -123,7 +122,7 @@ LbDecision load_balance_check(mp::Process& p, const IntervalPartition& current,
 
   std::vector<double> wire;
 
-  if (me == opts.controller) {
+  if (me == kControllerRank) {
     // Loads arrive as separate messages (paper: "sending the load
     // information as separate messages to the controller").
     std::vector<double> tpi(static_cast<std::size_t>(p.nprocs()));
@@ -149,8 +148,8 @@ LbDecision load_balance_check(mp::Process& p, const IntervalPartition& current,
     return d;
   }
 
-  p.send_value(opts.controller, kLoadTag, my_time_per_item);
-  wire = p.recv<double>(opts.controller, kDecisionTag);
+  p.send_value(kControllerRank, kLoadTag, my_time_per_item);
+  wire = p.recv<double>(kControllerRank, kDecisionTag);
   return decode(wire);
 }
 

@@ -36,10 +36,8 @@ enum class LbStrategy {
 struct LbOptions {
   int check_interval = 10;            ///< iterations between checks (paper §5)
   double profitability_factor = 1.0;  ///< remap iff gain > factor * remap cost
-  bool use_mcr = true;                ///< false = keep the current arrangement
   bool use_multicast = false;         ///< broadcast decision via multicast
   LbStrategy strategy = LbStrategy::kCentralized;
-  Rank controller = 0;
   partition::ArrangementObjective objective =
       partition::ArrangementObjective::overlap_only();
   /// Caller-supplied estimate of rebuilding the communication schedule after

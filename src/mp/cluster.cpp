@@ -179,10 +179,19 @@ void Cluster::run(const std::function<void(Process&)>& body) {
 
   for (int r = 0; r < p; ++r) {
     // A dead rank legitimately leaves unconsumed messages behind (traffic
-    // addressed to it before it died); survivors must not.
-    if (transport_->is_dead(r)) continue;
-    STANCE_ASSERT_MSG(transport_->pending(r) == 0,
+    // addressed to it before it died); survivors must not. On a trusted
+    // backend a leftover is a missing receive in the program. On an
+    // untrusted one a peer may have written a well-formed frame nobody asked
+    // for, which must not abort the process: drop it and fail the run.
+    const std::size_t pending = transport_->pending(r);
+    if (pending == 0 || transport_->is_dead(r)) continue;
+    STANCE_ASSERT_MSG(!transport_->trusted(),
                       "message left in a mailbox at end of SPMD run (missing recv)");
+    const std::uint32_t epoch = transport_->epoch();
+    transport_->reset();
+    throw TransportError(std::to_string(pending) + " unreceived frame(s) left in rank " +
+                             std::to_string(r) + "'s mailbox at end of SPMD run",
+                         /*peer=*/-1, /*peer_node=*/-1, epoch, FailCause::kMalformedFrame);
   }
 }
 

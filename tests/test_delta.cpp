@@ -15,6 +15,7 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -346,6 +347,70 @@ TEST(DeltaRebuild, ComposedDeltaEqualsSequentialSplices) {
   const auto composed = rebuild_all(g2, RemapDelta::graph_edit(part, c), old);
   expect_results_identical(seq, composed);
   expect_results_identical(composed, build_all_schedules(g2, part));
+}
+
+/// A random edit of `g`: inserts (some of edges it already has), removes
+/// (some of edges it lacks), self loops and weight edits, all lenient.
+CsrDelta random_delta(const Csr& g, Rng& rng) {
+  const auto n = static_cast<std::uint64_t>(g.num_vertices());
+  const auto edges = g.edge_list();
+  const auto any_edge = [&]() -> graph::Edge {
+    return {static_cast<graph::Vertex>(rng.below(n)), static_cast<graph::Vertex>(rng.below(n))};
+  };
+  CsrDelta d;
+  for (std::uint64_t i = 0, k = rng.below(30); i < k; ++i) {
+    d.insert_edges.push_back(rng.below(4) == 0 ? edges[rng.below(edges.size())] : any_edge());
+  }
+  for (std::uint64_t i = 0, k = rng.below(20); i < k; ++i) {
+    d.remove_edges.push_back(rng.below(4) == 0 ? any_edge() : edges[rng.below(edges.size())]);
+  }
+  for (std::uint64_t i = 0, k = rng.below(10); i < k; ++i) {
+    d.weight_edits.push_back(
+        {static_cast<graph::Vertex>(rng.below(n)), rng.uniform(0.5, 4.0)});
+  }
+  return d;
+}
+
+TEST(DeltaRebuildRandomized, SpliceChainsMatchScratchAndThenMatchesSequentialSplices) {
+  // Seeded chains of 3-5 random edits, some combined with a random drift.
+  // Every step is spliced from the previous step's schedules and must equal
+  // the from-scratch build on the edited mesh; one splice of a random
+  // sub-chain composed with then() must equal the sequential splices.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(9000 + seed);
+    const std::size_t p = 2 + rng.below(4);
+    std::vector<Csr> meshes{graph::random_delaunay(500, 70 + seed)};
+    std::vector<IntervalPartition> parts{
+        test::random_partition(meshes[0].num_vertices(), p, rng)};
+    std::vector<std::vector<InspectorResult>> results{build_all_schedules(meshes[0], parts[0])};
+    std::vector<CsrDelta> deltas;
+    const std::size_t steps = 3 + rng.below(3);
+    for (std::size_t k = 0; k < steps; ++k) {
+      CsrDelta d = random_delta(meshes[k], rng);
+      meshes.push_back(meshes[k].apply(d));
+      const bool drift = rng.below(2) == 0;
+      parts.push_back(drift ? test::random_partition(meshes[k].num_vertices(), p, rng)
+                            : parts[k]);
+      const auto rd = drift ? RemapDelta::combined(parts[k], parts[k + 1], d)
+                            : RemapDelta::graph_edit(parts[k], d);
+      results.push_back(rebuild_all(meshes[k + 1], rd, results[k]));
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(k));
+      expect_results_identical(results[k + 1], build_all_schedules(meshes[k + 1], parts[k + 1]));
+      deltas.push_back(std::move(d));
+    }
+    const std::size_t i = rng.below(steps - 1);
+    const std::size_t j = i + 2 + rng.below(steps - i - 1);  // sub-chain [i, j), >= 2 steps
+    CsrDelta c = deltas[i];
+    for (std::size_t k = i + 1; k < j; ++k) c = c.then(deltas[k]);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " then() over steps [" +
+                 std::to_string(i) + ", " + std::to_string(j) + ")");
+    const Csr composed = meshes[i].apply(c);
+    EXPECT_EQ(composed.fingerprint(), meshes[j].fingerprint());
+    EXPECT_EQ(composed.edge_list(), meshes[j].edge_list());
+    expect_results_identical(
+        rebuild_all(meshes[j], RemapDelta::combined(parts[i], parts[j], c), results[i]),
+        results[j]);
+  }
 }
 
 // --- patched-frame-plan oracles ----------------------------------------------

@@ -117,17 +117,6 @@ TEST(Decide, AllUnknownKeepsPartition) {
   EXPECT_FALSE(decide(part, tpi, cheap_remap_options()).remap);
 }
 
-TEST(Decide, WithoutMcrKeepsArrangement) {
-  const auto part = IntervalPartition::from_weights_arranged(
-      600, std::vector<double>{1, 1, 1}, partition::Arrangement{2, 0, 1});
-  const std::vector<double> tpi{0.04, 0.01, 0.01};
-  auto opts = cheap_remap_options();
-  opts.use_mcr = false;
-  const auto d = decide(part, tpi, opts);
-  ASSERT_TRUE(d.remap);
-  EXPECT_EQ(d.new_partition.arrangement(), part.arrangement());
-}
-
 TEST(Decide, MeasurementCountValidated) {
   const auto part = IntervalPartition::from_weights(100, std::vector<double>{1, 1});
   const std::vector<double> tpi{0.01};
@@ -153,19 +142,6 @@ TEST(LoadBalanceCheck, AllRanksGetTheSameDecision) {
     EXPECT_DOUBLE_EQ(decisions[0].remap_cost,
                      decisions[static_cast<std::size_t>(r)].remap_cost);
   }
-}
-
-TEST(LoadBalanceCheck, NonzeroControllerRank) {
-  const auto part = IntervalPartition::from_weights(400, std::vector<double>{1, 1});
-  mp::Cluster cluster(sim::MachineSpec::uniform(2));
-  auto opts = cheap_remap_options();
-  opts.controller = 1;
-  std::vector<LbDecision> decisions(2);
-  cluster.run([&](mp::Process& p) {
-    decisions[static_cast<std::size_t>(p.rank())] =
-        load_balance_check(p, part, p.rank() == 0 ? 0.05 : 0.01, opts);
-  });
-  EXPECT_EQ(decisions[0].remap, decisions[1].remap);
 }
 
 TEST(LoadBalanceCheck, MulticastBroadcastWorks) {

@@ -4,8 +4,8 @@
 // behavioral contract against the virtual oracle, the TCP backend on two
 // nodes (intra- and inter-node pairs), and the TCP backend on one node
 // (every pair co-resident, no sockets), plus TCP-only failure-injection
-// tests (malformed wire frames must surface as recoverable
-// mp::TransportError) and seeded oracles for the tcp frame decoder (frames
+// tests (malformed wire frames and frames nobody receives must surface as
+// recoverable mp::TransportError) and seeded oracles for the tcp frame decoder (frames
 // cut at random offsets, mutated headers, a forged frame size).
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -523,6 +524,42 @@ TEST(TcpDecoder, ForgedFrameSizeCommitsNoMemory) {
   const std::size_t after = resident_bytes();
   EXPECT_LT(after, before + (std::size_t{32} << 20))
       << "resident set grew by " << (after - before) << " bytes";
+}
+
+TEST(TcpTransport, StrayFrameFailsTheRunAndTheClusterStaysUsable) {
+  // A peer writes a well-formed frame on a key nobody receives, then a frame
+  // rank 2 does receive, so the stray frame is in rank 2's mailbox when the
+  // run ends. On the untrusted wire that must fail the run with a
+  // TransportError naming the mailbox, not abort the process, and the next
+  // run on the same cluster must start clean.
+  auto cluster = make_cluster(TransportKind::kTcp);
+  mp::TcpTransport& tcp = tcp_of(cluster);
+  Rng rng(7);
+  const Frame stray = make_frame(0, 2, /*tag=*/9, 24, tcp.epoch(), rng);
+  const Frame wanted = make_frame(0, 2, /*tag=*/1, 24, tcp.epoch(), rng);
+  std::vector<std::byte> wire;
+  encode(stray.header, stray.payload, wire);
+  encode(wanted.header, wanted.payload, wire);
+  try {
+    cluster.run([&](mp::Process& p) {
+      if (p.rank() == 0) tcp.corrupt_wire(0, 1, wire);
+      if (p.rank() != 2) return;
+      mp::RawMessage m = p.recv_raw(0, 1);
+      EXPECT_EQ(m.payload, wanted.payload);
+      p.recycle(std::move(m));
+    });
+    FAIL() << "a stray frame was left in a mailbox unnoticed";
+  } catch (const mp::TransportError& e) {
+    EXPECT_EQ(e.cause(), mp::FailCause::kMalformedFrame);
+    EXPECT_NE(std::string(e.what()).find("rank 2's mailbox"), std::string::npos) << e.what();
+  }
+  cluster.run([](mp::Process& p) {
+    if (p.rank() == 0) p.send_value(2, 1, 11);
+    if (p.rank() == 2) {
+      EXPECT_EQ(p.recv_value<int>(0, 1), 11);
+    }
+    p.barrier();
+  });
 }
 
 TEST(TransportFactory, EnvSelectionAndValidation) {
