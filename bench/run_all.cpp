@@ -691,12 +691,8 @@ void bench_recovery(bench::JsonReporter& report, bool small) {
   const ResilientResult result = run_resilient(mesh, machine, opts);
 
   // In-bench oracle.
-  std::vector<double> y0(static_cast<std::size_t>(mesh.num_vertices()));
-  for (graph::Vertex v = 0; v < mesh.num_vertices(); ++v) {
-    y0[static_cast<std::size_t>(v)] = Session::initial_value(v);
-  }
-  const auto at_checkpoint =
-      run_reference_from(mesh, machine, std::move(y0), result.resume_iteration, opts);
+  const auto at_checkpoint = run_reference_from(
+      mesh, machine, initial_values(mesh.num_vertices()), result.resume_iteration, opts);
   const auto expected =
       run_reference_from(mesh, machine.subset(result.survivors), at_checkpoint,
                          opts.iterations - result.resume_iteration, opts);

@@ -5,6 +5,13 @@
 
 namespace stance::sim {
 
+std::vector<double> MachineSpec::speeds() const {
+  std::vector<double> w;
+  w.reserve(nodes.size());
+  for (const auto& n : nodes) w.push_back(n.speed);
+  return w;
+}
+
 double MachineSpec::total_speed() const noexcept {
   double s = 0.0;
   for (const auto& n : nodes) s += n.speed;

@@ -33,6 +33,9 @@ struct MachineSpec {
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes.size(); }
 
+  /// Node speeds in rank order (the default partition weights).
+  [[nodiscard]] std::vector<double> speeds() const;
+
   /// Sum of node speeds (the denominator of capability shares).
   [[nodiscard]] double total_speed() const noexcept;
 

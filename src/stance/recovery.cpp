@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "mp/errors.hpp"
@@ -12,52 +13,11 @@
 namespace stance {
 namespace {
 
-std::vector<double> initial_global(const graph::Csr& mesh) {
-  std::vector<double> y(static_cast<std::size_t>(mesh.num_vertices()));
-  for (graph::Vertex g = 0; g < mesh.num_vertices(); ++g) {
-    y[static_cast<std::size_t>(g)] = Session::initial_value(g);
-  }
-  return y;
-}
-
-std::vector<double> node_speeds(const sim::MachineSpec& machine) {
-  std::vector<double> w;
-  w.reserve(machine.size());
-  for (const auto& node : machine.nodes) w.push_back(node.speed);
-  return w;
-}
-
-/// Phase B on zeroed clocks; returns its makespan.
-double build_wave(mp::Cluster& cluster, const graph::Csr& mesh,
-                  const partition::IntervalPartition& part, const ResilientOptions& opts,
-                  std::vector<sched::InspectorResult>& out) {
-  out.resize(static_cast<std::size_t>(cluster.nprocs()));
-  cluster.reset_clocks();
-  cluster.run([&](mp::Process& p) {
-    out[static_cast<std::size_t>(p.rank())] =
-        sched::build_schedule(p, mesh, part, opts.build, opts.cpu);
-  });
-  return cluster.makespan();
-}
-
-/// Scatter the global vector into one rank's owned slice.
-std::vector<double> slice_of(const std::vector<double>& global,
-                             const partition::IntervalPartition& part, mp::Rank rank) {
-  const auto first = static_cast<std::size_t>(part.first(rank));
-  const auto size = static_cast<std::size_t>(part.size(rank));
-  return std::vector<double>(global.begin() + static_cast<std::ptrdiff_t>(first),
-                             global.begin() + static_cast<std::ptrdiff_t>(first + size));
-}
-
-/// Gather per-rank slices back into the global vector.
-void assemble(std::vector<double>& global, const partition::IntervalPartition& part,
-              const std::vector<std::vector<double>>& per_rank,
-              std::span<const mp::Rank> ranks) {
-  for (const mp::Rank r : ranks) {
-    const auto& slice = per_rank[static_cast<std::size_t>(r)];
-    std::copy(slice.begin(), slice.end(),
-              global.begin() + static_cast<std::ptrdiff_t>(part.first(r)));
-  }
+/// One rank's owned slice of the global vector, as a view.
+std::span<double> slice_of(std::vector<double>& global,
+                           const partition::IntervalPartition& part, mp::Rank rank) {
+  return std::span<double>(global).subspan(static_cast<std::size_t>(part.first(rank)),
+                                           static_cast<std::size_t>(part.size(rank)));
 }
 
 }  // namespace
@@ -71,25 +31,10 @@ std::vector<double> run_reference_from(const graph::Csr& mesh,
                  "run_reference_from: y0 must cover the mesh");
   if (iterations == 0) return y0;
   const auto part =
-      partition::IntervalPartition::from_weights(mesh.num_vertices(), node_speeds(machine));
+      partition::IntervalPartition::from_weights(mesh.num_vertices(), machine.speeds());
   mp::Cluster cluster(machine, opts.transport);
-  std::vector<sched::InspectorResult> schedules;
-  build_wave(cluster, mesh, part, opts, schedules);
-
-  std::vector<std::vector<double>> per_rank(machine.size());
-  cluster.reset_clocks();
-  cluster.run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    exec::IrregularLoop loop(schedules[r].lgraph, schedules[r].schedule, opts.loop,
-                             opts.cpu);
-    std::vector<double> y = slice_of(y0, part, p.rank());
-    loop.iterate(p, y, iterations);
-    per_rank[r] = std::move(y);
-  });
-
-  std::vector<mp::Rank> all(machine.size());
-  for (std::size_t r = 0; r < all.size(); ++r) all[r] = static_cast<mp::Rank>(r);
-  assemble(y0, part, per_rank, all);
+  const CachedPlan plan = build_wave(cluster, mesh, part, opts.build, opts.cpu);
+  sweep_wave(cluster, plan, part, opts.loop, opts.cpu, iterations, y0);
   return y0;
 }
 
@@ -98,31 +43,29 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
   STANCE_REQUIRE(opts.iterations >= 1, "run_resilient: need at least one iteration");
   const graph::Vertex nv = mesh.num_vertices();
   const int p = static_cast<int>(machine.size());
-  const auto part = partition::IntervalPartition::from_weights(nv, node_speeds(machine));
+  const auto part = partition::IntervalPartition::from_weights(nv, machine.speeds());
 
   mp::Cluster cluster(machine, opts.transport);
   STANCE_REQUIRE(cluster.node_map().trivial(),
                  "run_resilient: expects one rank per node (the paper's testbed shape)");
 
   // Phase B, failure-free: faults are installed for the loop wave only.
-  std::vector<sched::InspectorResult> schedules;
-  build_wave(cluster, mesh, part, opts, schedules);
+  const CachedPlan plan = build_wave(cluster, mesh, part, opts.build, opts.cpu);
 
   ResilientResult result;
+  result.y = initial_values(nv);
   CheckpointStore store(p, static_cast<std::size_t>(nv));
-  std::vector<std::vector<double>> per_rank(static_cast<std::size_t>(p));
   std::vector<std::optional<mp::Process::SurvivorSet>> agreed(static_cast<std::size_t>(p));
   std::vector<double> agree_cost(static_cast<std::size_t>(p), 0.0);
   std::vector<double> ckpt_cost(static_cast<std::size_t>(p), 0.0);
-  const std::vector<double> y_init = initial_global(mesh);
 
   cluster.set_fault_plan(opts.faults);
   cluster.reset_clocks();
   cluster.run([&](mp::Process& pr) {
     const auto r = static_cast<std::size_t>(pr.rank());
-    exec::IrregularLoop loop(schedules[r].lgraph, schedules[r].schedule, opts.loop,
+    exec::IrregularLoop loop(plan.per_rank[r].lgraph, plan.per_rank[r].schedule, opts.loop,
                              opts.cpu);
-    std::vector<double> y = slice_of(y_init, part, pr.rank());
+    const std::span<double> y = slice_of(result.y, part, pr.rank());
     try {
       for (int it = 0; it < opts.iterations; ++it) {
         loop.iterate(pr, y, 1);
@@ -142,7 +85,6 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
       // (and is a plain barrier otherwise), so every survivor takes the
       // recovery path below.
       pr.barrier();
-      per_rank[r] = std::move(y);
     } catch (const mp::PeerFailed&) {
       const double before = pr.now();
       auto agreement = pr.agree_on_survivors(opts.detect_cost_seconds);
@@ -159,8 +101,6 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
   if (result.dead.empty()) {
     result.survivors.resize(static_cast<std::size_t>(p));
     for (int r = 0; r < p; ++r) result.survivors[static_cast<std::size_t>(r)] = r;
-    result.y.assign(static_cast<std::size_t>(nv), 0.0);
-    assemble(result.y, part, per_rank, result.survivors);
     result.loop_virtual_seconds = cluster.makespan();
     return result;
   }
@@ -175,10 +115,11 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
       *std::max_element(agree_cost.begin(), agree_cost.end());
   const double first_wave_seconds = cluster.makespan();
 
-  // Restore point: last committed checkpoint, or the initial state.
+  // Restore point: last committed checkpoint, or the initial state. The
+  // failed wave left y at mixed iterations; the restore overwrites all of it.
   auto checkpoint = store.last();
   result.resume_iteration = checkpoint ? checkpoint->iteration : 0;
-  std::vector<double> y0 = checkpoint ? std::move(checkpoint->y) : y_init;
+  result.y = checkpoint ? std::move(checkpoint->y) : initial_values(nv);
   const int remaining = opts.iterations - result.resume_iteration;
 
   // Shrink to the survivors: their nodes, their speeds, a fresh cluster
@@ -186,35 +127,27 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
   const sim::MachineSpec survivor_spec = machine.subset(result.survivors);
   mp::Cluster survivor_cluster(survivor_spec, opts.transport);
   const auto survivor_part =
-      partition::IntervalPartition::from_weights(nv, node_speeds(survivor_spec));
-  std::vector<sched::InspectorResult> survivor_schedules;
-  result.costs.rebuild_virtual_seconds =
-      build_wave(survivor_cluster, mesh, survivor_part, opts, survivor_schedules);
+      partition::IntervalPartition::from_weights(nv, survivor_spec.speeds());
+  const CachedPlan survivor_plan =
+      build_wave(survivor_cluster, mesh, survivor_part, opts.build, opts.cpu);
+  result.costs.rebuild_virtual_seconds = survivor_plan.cold_build_seconds;
 
-  const int sp = static_cast<int>(survivor_spec.size());
-  std::vector<std::vector<double>> survivor_y(static_cast<std::size_t>(sp));
-  std::vector<double> restore_cost(static_cast<std::size_t>(sp), 0.0);
+  std::vector<double> restore_cost(survivor_spec.size(), 0.0);
   survivor_cluster.reset_clocks();
   survivor_cluster.run([&](mp::Process& pr) {
     const auto r = static_cast<std::size_t>(pr.rank());
-    std::vector<double> y = slice_of(y0, survivor_part, pr.rank());
+    const std::span<double> y = slice_of(result.y, survivor_part, pr.rank());
     const double cost = opts.checkpoint_cost.seconds(y.size() * sizeof(double));
     pr.clock().advance_delay(cost);  // reload from stable storage
     restore_cost[r] = cost;
     if (remaining > 0) {
-      exec::IrregularLoop loop(survivor_schedules[r].lgraph,
-                               survivor_schedules[r].schedule, opts.loop, opts.cpu);
+      exec::IrregularLoop loop(survivor_plan.per_rank[r].lgraph,
+                               survivor_plan.per_rank[r].schedule, opts.loop, opts.cpu);
       loop.iterate(pr, y, remaining);
     }
-    survivor_y[r] = std::move(y);
   });
   result.costs.restore_virtual_seconds =
       *std::max_element(restore_cost.begin(), restore_cost.end());
-
-  result.y.assign(static_cast<std::size_t>(nv), 0.0);
-  std::vector<mp::Rank> all(static_cast<std::size_t>(sp));
-  for (int r = 0; r < sp; ++r) all[static_cast<std::size_t>(r)] = r;
-  assemble(result.y, survivor_part, survivor_y, all);
   result.loop_virtual_seconds = first_wave_seconds +
                                 result.costs.rebuild_virtual_seconds +
                                 survivor_cluster.makespan();

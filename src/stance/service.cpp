@@ -26,11 +26,7 @@ Service::Service(sim::MachineSpec fleet, ServiceOptions opts, mp::NodeMap node_m
 }
 
 std::vector<double> Service::effective_weights(const JobSpec& spec) const {
-  if (!spec.weights.empty()) return spec.weights;
-  std::vector<double> w;
-  w.reserve(fleet_.size());
-  for (const auto& node : fleet_.nodes) w.push_back(node.speed);
-  return w;
+  return spec.weights.empty() ? fleet_.speeds() : spec.weights;
 }
 
 PlanKey Service::make_key(const JobSpec& spec, std::uint64_t mesh_fp,
@@ -122,22 +118,9 @@ std::shared_ptr<const CachedPlan> Service::build_cold(
   const auto perm = order::compute(*spec.mesh, spec.config.ordering, spec.config.seed);
   const graph::Csr ordered = spec.mesh->permuted(perm);
 
-  auto plan = std::make_shared<CachedPlan>();
-  const auto n = static_cast<std::size_t>(nprocs());
-  plan->per_rank.resize(n);
-  if (opts_.coalesce) plan->coalesce.resize(n);
-  cluster_->reset_clocks();
-  cluster_->run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    plan->per_rank[r] =
-        sched::build_schedule(p, ordered, part, spec.config.build, spec.config.cpu);
-    if (opts_.coalesce) {
-      plan->coalesce[r] = sched::coalesce(p, plan->per_rank[r].schedule,
-                                          spec.config.cpu, opts_.coalesce_opts);
-    }
-  });
-  plan->cold_build_seconds = cluster_->makespan();
-  return plan;
+  return std::make_shared<const CachedPlan>(
+      build_wave(*cluster_, ordered, part, spec.config.build, spec.config.cpu,
+                 opts_.coalesce ? &opts_.coalesce_opts : nullptr));
 }
 
 void Service::execute(std::vector<Job>& batch, std::unique_lock<std::mutex>& lock,
@@ -162,39 +145,13 @@ void Service::execute(std::vector<Job>& batch, std::unique_lock<std::mutex>& loc
     plan = std::move(built);
   }
 
-  // Reinstall check: a cached coalesce plan must still route for the current
-  // schedule and delegate assignment. The key's map_generation makes a stale
-  // entry unreachable, so this can only fire on a cache-keying bug.
-  for (std::size_t r = 0; r < plan->coalesce.size(); ++r) {
-    STANCE_ASSERT_MSG(
-        plan->coalesce[r].matches(plan->per_rank[r].schedule, cluster_->node_map()),
-        "service: cached coalesce plan is stale for the current node map");
-  }
-
   // Phase C on fresh clocks — the loop phase is what every job in the batch
   // shares; the virtual makespan is the execution's price.
-  const auto n = static_cast<std::size_t>(nprocs());
-  std::vector<double> checksums(n, 0.0);
-  cluster_->reset_clocks();
-  cluster_->run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    const auto& ir = plan->per_rank[r];
-    exec::IrregularLoop loop(ir.lgraph, ir.schedule, spec.config.loop, spec.config.cpu);
-    if (!plan->coalesce.empty()) loop.set_coalesce_plan(&plan->coalesce[r]);
-    std::vector<double> y(static_cast<std::size_t>(part.size(p.rank())));
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] = Session::initial_value(
-          part.to_global(p.rank(), static_cast<graph::Vertex>(i)));
-    }
-    loop.iterate(p, y, spec.iterations);
-    double sum = 0.0;
-    for (const double v : y) sum += v;
-    checksums[r] = sum;
-  });
-  const double loop_seconds = cluster_->makespan();
+  std::vector<double> y = initial_values(spec.mesh->num_vertices());
+  const double loop_seconds = sweep_wave(*cluster_, *plan, part, spec.config.loop,
+                                         spec.config.cpu, spec.iterations, y);
   const mp::CommStats loop_stats = cluster_->total_stats();
-  double checksum = 0.0;
-  for (const double c : checksums) checksum += c;
+  const double checksum = rank_checksum(y, part);
 
   const double build_seconds = hit ? 0.0 : plan->cold_build_seconds;
   const double charged_each =

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "partition/interval.hpp"
+#include "sched/coalesce.hpp"
 #include "stance/metrics.hpp"
 #include "support/assert.hpp"
 
@@ -20,28 +22,13 @@ std::vector<double> Session::sequential_times(int iterations) const {
       static_cast<double>(iterations) *
       (cfg_.loop.per_vertex * static_cast<double>(mesh_.num_vertices()) +
        cfg_.loop.per_edge * 2.0 * static_cast<double>(mesh_.num_edges()));
-  std::vector<double> t;
-  t.reserve(cfg_.machine.size());
-  for (const auto& node : cfg_.machine.nodes) t.push_back(work / node.speed);
+  std::vector<double> t = cfg_.machine.speeds();
+  for (double& s : t) s = work / s;
   return t;
 }
 
-double Session::build_phase(const partition::IntervalPartition& part,
-                            std::vector<sched::InspectorResult>& out) {
-  out.resize(cfg_.machine.size());
-  cluster_->reset_clocks();
-  cluster_->run([&](mp::Process& p) {
-    out[static_cast<std::size_t>(p.rank())] =
-        sched::build_schedule(p, mesh_, part, cfg_.build, cfg_.cpu);
-  });
-  return cluster_->makespan();
-}
-
 StaticRunResult Session::run_static(int iterations) {
-  std::vector<double> weights;
-  weights.reserve(cfg_.machine.size());
-  for (const auto& node : cfg_.machine.nodes) weights.push_back(node.speed);
-  return run_static_weighted(iterations, std::move(weights));
+  return run_static_weighted(iterations, cfg_.machine.speeds());
 }
 
 StaticRunResult Session::run_static_weighted(int iterations, std::vector<double> weights) {
@@ -50,29 +37,15 @@ StaticRunResult Session::run_static_weighted(int iterations, std::vector<double>
   const auto part = partition::IntervalPartition::from_weights(mesh_.num_vertices(),
                                                                weights);
   StaticRunResult result;
-  std::vector<sched::InspectorResult> schedules;
-  result.build_seconds = build_phase(part, schedules);
+  const CachedPlan plan = build_wave(*cluster_, mesh_, part, cfg_.build, cfg_.cpu);
+  result.build_seconds = plan.cold_build_seconds;
 
-  // Loop phase on fresh clocks.
-  std::vector<double> checksums(cfg_.machine.size(), 0.0);
-  cluster_->reset_clocks();
-  cluster_->run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    const auto& ir = schedules[r];
-    exec::IrregularLoop loop(ir.lgraph, ir.schedule, cfg_.loop, cfg_.cpu);
-    std::vector<double> y(static_cast<std::size_t>(part.size(p.rank())));
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] = initial_value(part.to_global(p.rank(), static_cast<graph::Vertex>(i)));
-    }
-    loop.iterate(p, y, iterations);
-    double sum = 0.0;
-    for (const double v : y) sum += v;
-    checksums[r] = sum;
-  });
-  result.loop_seconds = cluster_->makespan();
+  std::vector<double> y = initial_values(mesh_.num_vertices());
+  result.loop_seconds =
+      sweep_wave(*cluster_, plan, part, cfg_.loop, cfg_.cpu, iterations, y);
   result.finish_times = cluster_->finish_times();
   result.loop_stats = cluster_->total_stats();
-  for (const double c : checksums) result.checksum += c;
+  result.checksum = rank_checksum(y, part);
 
   const auto seq = sequential_times(iterations);
   result.efficiency = nonuniform_efficiency(result.loop_seconds, seq);
@@ -132,39 +105,12 @@ AdaptiveRunResult Session::run_adaptive(int iterations, lb::LbOptions lb, bool e
 
 double Session::verify_against_reference(int iterations) {
   const auto nv = mesh_.num_vertices();
-  std::vector<double> weights;
-  for (const auto& node : cfg_.machine.nodes) weights.push_back(node.speed);
-  const auto part = partition::IntervalPartition::from_weights(nv, weights);
+  const auto part = partition::IntervalPartition::from_weights(nv, cfg_.machine.speeds());
+  const CachedPlan plan = build_wave(*cluster_, mesh_, part, cfg_.build, cfg_.cpu);
+  std::vector<double> parallel = initial_values(nv);
+  sweep_wave(*cluster_, plan, part, cfg_.loop, cfg_.cpu, iterations, parallel);
 
-  std::vector<sched::InspectorResult> schedules;
-  build_phase(part, schedules);
-
-  std::vector<std::vector<double>> per_rank(cfg_.machine.size());
-  cluster_->reset_clocks();
-  cluster_->run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    const auto& ir = schedules[r];
-    exec::IrregularLoop loop(ir.lgraph, ir.schedule, cfg_.loop, cfg_.cpu);
-    std::vector<double> y(static_cast<std::size_t>(part.size(p.rank())));
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] = initial_value(part.to_global(p.rank(), static_cast<graph::Vertex>(i)));
-    }
-    loop.iterate(p, y, iterations);
-    per_rank[r] = std::move(y);
-  });
-
-  std::vector<double> parallel(static_cast<std::size_t>(nv));
-  for (int r = 0; r < static_cast<int>(cfg_.machine.size()); ++r) {
-    for (graph::Vertex i = 0; i < part.size(r); ++i) {
-      parallel[static_cast<std::size_t>(part.to_global(r, i))] =
-          per_rank[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)];
-    }
-  }
-
-  std::vector<double> reference(static_cast<std::size_t>(nv));
-  for (graph::Vertex g = 0; g < nv; ++g) {
-    reference[static_cast<std::size_t>(g)] = initial_value(g);
-  }
+  std::vector<double> reference = initial_values(nv);
   exec::IrregularLoop::reference_iterate(mesh_, reference, iterations);
 
   double max_diff = 0.0;
@@ -172,6 +118,68 @@ double Session::verify_against_reference(int iterations) {
     max_diff = std::max(max_diff, std::abs(parallel[i] - reference[i]));
   }
   return max_diff;
+}
+
+CachedPlan build_wave(mp::Cluster& cluster, const graph::Csr& mesh,
+                      const partition::IntervalPartition& part, sched::BuildMethod build,
+                      const sim::CpuCostModel& cpu, const sched::CoalesceOptions* coalesce) {
+  const auto n = static_cast<std::size_t>(cluster.nprocs());
+  CachedPlan plan;
+  plan.per_rank.resize(n);
+  if (coalesce != nullptr) plan.coalesce.resize(n);
+  cluster.reset_clocks();
+  cluster.run([&](mp::Process& p) {
+    const auto r = static_cast<std::size_t>(p.rank());
+    plan.per_rank[r] = sched::build_schedule(p, mesh, part, build, cpu);
+    if (coalesce != nullptr) {
+      plan.coalesce[r] = sched::coalesce(p, plan.per_rank[r].schedule, cpu, *coalesce);
+    }
+  });
+  plan.cold_build_seconds = cluster.makespan();
+  return plan;
+}
+
+double sweep_wave(mp::Cluster& cluster, const CachedPlan& plan,
+                  const partition::IntervalPartition& part, const exec::LoopCostModel& loop,
+                  const sim::CpuCostModel& cpu, int iterations, std::vector<double>& y) {
+  STANCE_REQUIRE(y.size() == static_cast<std::size_t>(part.total()),
+                 "sweep_wave: y must cover the partitioned mesh");
+  // A coalesce plan must still route for its schedule under the current
+  // delegate assignment. Cache keys carry the map generation, so a stale
+  // plan here can only be a keying bug.
+  for (std::size_t r = 0; r < plan.coalesce.size(); ++r) {
+    STANCE_ASSERT_MSG(plan.coalesce[r].matches(plan.per_rank[r].schedule, cluster.node_map()),
+                      "sweep_wave: coalesce plan is stale for the current node map");
+  }
+  cluster.reset_clocks();
+  cluster.run([&](mp::Process& p) {
+    const auto r = static_cast<std::size_t>(p.rank());
+    const auto& ir = plan.per_rank[r];
+    exec::IrregularLoop sweep(ir.lgraph, ir.schedule, loop, cpu);
+    if (!plan.coalesce.empty()) sweep.set_coalesce_plan(&plan.coalesce[r]);
+    const auto first = static_cast<std::size_t>(part.first(p.rank()));
+    const auto size = static_cast<std::size_t>(part.size(p.rank()));
+    sweep.iterate(p, std::span<double>(y).subspan(first, size), iterations);
+  });
+  return cluster.makespan();
+}
+
+std::vector<double> initial_values(graph::Vertex n) {
+  std::vector<double> y(static_cast<std::size_t>(n));
+  for (graph::Vertex g = 0; g < n; ++g) y[static_cast<std::size_t>(g)] = Session::initial_value(g);
+  return y;
+}
+
+double rank_checksum(const std::vector<double>& y, const partition::IntervalPartition& part) {
+  double total = 0.0;
+  for (int r = 0; r < part.nparts(); ++r) {
+    double sum = 0.0;
+    for (graph::Vertex i = part.first(r); i < part.end(r); ++i) {
+      sum += y[static_cast<std::size_t>(i)];
+    }
+    total += sum;
+  }
+  return total;
 }
 
 }  // namespace stance

@@ -9,7 +9,9 @@
 // Timing discipline: every run first executes Phase B on zeroed clocks,
 // records its cost, zeroes the clocks again, and then times the loop phase —
 // matching the paper, which reports schedule-construction time (Table 3)
-// separately from loop time (Tables 4-5).
+// separately from loop time (Tables 4-5). The free functions below are that
+// sequence: build_wave() is Phase B, sweep_wave() is Phase C, and Session,
+// Service and the recovery driver all run their static jobs through them.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include "order/ordering.hpp"
 #include "sched/inspector.hpp"
 #include "sim/machine.hpp"
+#include "stance/plan_cache.hpp"
 
 namespace stance {
 
@@ -89,13 +92,33 @@ class Session {
   }
 
  private:
-  /// Build per-rank schedules on zeroed clocks; returns makespan.
-  double build_phase(const partition::IntervalPartition& part,
-                     std::vector<sched::InspectorResult>& out);
-
   SessionConfig cfg_;
   graph::Csr mesh_;  ///< permuted by cfg.ordering
   std::unique_ptr<mp::Cluster> cluster_;
 };
+
+/// Phase B on zeroed clocks: every rank's schedule for `part` of the
+/// (already ordered) `mesh` and, when `coalesce` is set, its coalesce plan in
+/// the same wave. cold_build_seconds holds the wave's makespan.
+[[nodiscard]] CachedPlan build_wave(mp::Cluster& cluster, const graph::Csr& mesh,
+                                    const partition::IntervalPartition& part,
+                                    sched::BuildMethod build, const sim::CpuCostModel& cpu,
+                                    const sched::CoalesceOptions* coalesce = nullptr);
+
+/// Phase C on zeroed clocks: `iterations` sweeps, each rank updating its own
+/// slice of the global vector `y` in place through `plan`'s schedule (and
+/// its coalesce plan, when the product carries one). Returns the makespan;
+/// the cluster's clocks and stats describe the wave afterwards.
+double sweep_wave(mp::Cluster& cluster, const CachedPlan& plan,
+                  const partition::IntervalPartition& part, const exec::LoopCostModel& loop,
+                  const sim::CpuCostModel& cpu, int iterations, std::vector<double>& y);
+
+/// Session::initial_value for every element 0..n-1.
+[[nodiscard]] std::vector<double> initial_values(graph::Vertex n);
+
+/// The job checksum of a global vector: each rank's slice summed on its own,
+/// then the slice sums added in rank order.
+[[nodiscard]] double rank_checksum(const std::vector<double>& y,
+                                   const partition::IntervalPartition& part);
 
 }  // namespace stance

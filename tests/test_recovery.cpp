@@ -24,14 +24,6 @@ namespace {
 using mp::FaultPlan;
 using mp::KillRule;
 
-std::vector<double> initial_vector(const graph::Csr& mesh) {
-  std::vector<double> y(static_cast<std::size_t>(mesh.num_vertices()));
-  for (graph::Vertex g = 0; g < mesh.num_vertices(); ++g) {
-    y[static_cast<std::size_t>(g)] = Session::initial_value(g);
-  }
-  return y;
-}
-
 // --- CheckpointStore ----------------------------------------------------------
 
 TEST(CheckpointStore, CommitsOnlyWhenEveryRankSavedTheIteration) {
@@ -138,6 +130,9 @@ TEST(MachineSubset, KeepsSpeedsProfilesAndNetwork) {
     EXPECT_EQ(sub.nodes[i].hostname,
               machine.nodes[static_cast<std::size_t>(keep[i])].hostname);
   }
+  EXPECT_EQ(sub.speeds(), (std::vector<double>{machine.nodes[0].speed,
+                                                machine.nodes[2].speed,
+                                                machine.nodes[4].speed}));
   EXPECT_EQ(sub.net.contention, machine.net.contention);
   EXPECT_NE(sub.name, machine.name);
 }
@@ -176,8 +171,8 @@ TEST(Recovery, FailureFreeRunMatchesReference) {
   EXPECT_GT(result.costs.checkpoint_virtual_seconds, 0.0);
   EXPECT_EQ(result.costs.restore_virtual_seconds, 0.0);
 
-  const std::vector<double> expected =
-      run_reference_from(mesh, machine, initial_vector(mesh), opts.iterations, opts);
+  const std::vector<double> expected = run_reference_from(
+      mesh, machine, initial_values(mesh.num_vertices()), opts.iterations, opts);
   test::expect_vectors_eq(result.y, expected);
 }
 
@@ -214,7 +209,7 @@ TEST(Recovery, KillMidRunRecoversByteIdenticalFromLastCheckpoint) {
   // Oracle arm 1: the failure-free prefix reproduces the restored state
   // (solution values are partition-independent, bit for bit).
   const std::vector<double> at_checkpoint = run_reference_from(
-      mesh, machine, initial_vector(mesh), result.resume_iteration, opts);
+      mesh, machine, initial_values(mesh.num_vertices()), result.resume_iteration, opts);
   // Oracle arm 2: finish on the survivor machine from that state.
   const sim::MachineSpec survivor_machine =
       machine.subset(std::vector<int>(result.survivors.begin(), result.survivors.end()));
@@ -242,7 +237,7 @@ TEST(Recovery, KillBeforeFirstCheckpointRestartsFromInitialState) {
 
   const sim::MachineSpec survivor_machine = machine.subset(std::vector<int>{0, 2});
   const std::vector<double> expected = run_reference_from(
-      mesh, survivor_machine, initial_vector(mesh), opts.iterations, opts);
+      mesh, survivor_machine, initial_values(mesh.num_vertices()), opts.iterations, opts);
   test::expect_vectors_eq(result.y, expected);
 }
 
@@ -252,8 +247,8 @@ TEST(Recovery, ValidatesOptions) {
   ResilientOptions opts;
   opts.iterations = 0;
   EXPECT_THROW((void)run_resilient(mesh, machine, opts), std::invalid_argument);
-  EXPECT_THROW((void)run_reference_from(mesh, machine, initial_vector(mesh), -1,
-                                        ResilientOptions{}),
+  EXPECT_THROW((void)run_reference_from(mesh, machine, initial_values(mesh.num_vertices()),
+                                        -1, ResilientOptions{}),
                std::invalid_argument);
   EXPECT_THROW(
       (void)run_reference_from(mesh, machine, std::vector<double>{1.0}, 1,

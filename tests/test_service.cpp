@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "stance/recovery.hpp"
 #include "stance/stance.hpp"
 
 namespace stance {
@@ -143,10 +144,8 @@ TEST(ServiceCache, CachedPlanByteIdenticalToIndependentColdBuild) {
   // Independent cold build, no service involved.
   const auto perm = order::compute(*mesh, spec.config.ordering, spec.config.seed);
   const graph::Csr ordered = mesh->permuted(perm);
-  std::vector<double> weights;
-  for (const auto& node : fleet.nodes) weights.push_back(node.speed);
   const auto part =
-      partition::IntervalPartition::from_weights(ordered.num_vertices(), weights);
+      partition::IntervalPartition::from_weights(ordered.num_vertices(), fleet.speeds());
   mp::Cluster cluster(fleet, mp::NodeMap::contiguous(4, 2));
   std::vector<sched::InspectorResult> ref(4);
   std::vector<sched::CoalescePlan> ref_plans(4);
@@ -167,7 +166,10 @@ TEST(ServiceCache, CachedPlanByteIdenticalToIndependentColdBuild) {
 TEST(ServiceCache, MatchesSessionResultsExactly) {
   // The service is a serving wrapper, not a different runtime: one job must
   // reproduce Session::run_static bit-for-bit (checksum) and tick-for-tick
-  // (virtual seconds).
+  // (virtual seconds). Both checksums must also equal the sequential
+  // reference summed the way every driver sums a job: each rank's slice on
+  // its own, then the slice sums in rank order. The recovery driver's
+  // failure-free arm on the same fleet must reproduce the reference too.
   const auto fleet = sim::MachineSpec::sun4_ethernet(4);
   Service svc(fleet);
   const auto mesh = shared_mesh();
@@ -180,9 +182,34 @@ TEST(ServiceCache, MatchesSessionResultsExactly) {
   Session session(*mesh, cfg);
   const auto reference = session.run_static(5);
 
-  EXPECT_DOUBLE_EQ(results[0].checksum, reference.checksum);
-  EXPECT_DOUBLE_EQ(results[0].loop_seconds, reference.loop_seconds);
-  EXPECT_DOUBLE_EQ(results[0].build_seconds, reference.build_seconds);
+  EXPECT_EQ(results[0].checksum, reference.checksum);
+  EXPECT_EQ(results[0].loop_seconds, reference.loop_seconds);
+  EXPECT_EQ(results[0].build_seconds, reference.build_seconds);
+
+  const graph::Csr& ordered = session.mesh();
+  const auto part =
+      partition::IntervalPartition::from_weights(ordered.num_vertices(), fleet.speeds());
+  const auto by_rank = [&](const std::vector<double>& y) {
+    double total = 0.0;
+    for (int r = 0; r < part.nparts(); ++r) {
+      double sum = 0.0;
+      for (graph::Vertex g = part.first(r); g < part.end(r); ++g) {
+        sum += y[static_cast<std::size_t>(g)];
+      }
+      total += sum;
+    }
+    return total;
+  };
+  std::vector<double> sequential = initial_values(ordered.num_vertices());
+  exec::IrregularLoop::reference_iterate(ordered, sequential, 5);
+  const double expected = by_rank(sequential);
+  EXPECT_EQ(results[0].checksum, expected);
+  EXPECT_EQ(reference.checksum, expected);
+
+  const std::vector<double> recovered = run_reference_from(
+      ordered, fleet, initial_values(ordered.num_vertices()), 5, ResilientOptions{});
+  EXPECT_EQ(recovered, sequential);
+  EXPECT_EQ(by_rank(recovered), expected);
 }
 
 // --- staleness ---------------------------------------------------------------

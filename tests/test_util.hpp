@@ -16,6 +16,7 @@
 #include "partition/interval.hpp"
 #include "sched/inspector.hpp"
 #include "sim/machine.hpp"
+#include "stance/session.hpp"
 #include "support/rng.hpp"
 
 namespace stance::test {
@@ -27,13 +28,7 @@ inline std::vector<sched::InspectorResult> build_all_schedules(
     sched::BuildMethod method = sched::BuildMethod::kSort2) {
   mp::Cluster cluster(
       sim::MachineSpec::uniform(static_cast<std::size_t>(part.nparts())));
-  std::vector<sched::InspectorResult> results(
-      static_cast<std::size_t>(part.nparts()));
-  cluster.run([&](mp::Process& p) {
-    results[static_cast<std::size_t>(p.rank())] =
-        sched::build_schedule(p, g, part, method, sim::CpuCostModel::free());
-  });
-  return results;
+  return build_wave(cluster, g, part, method, sim::CpuCostModel::free()).per_rank;
 }
 
 /// Interval partition of [0, n) into p randomly weighted blocks.
